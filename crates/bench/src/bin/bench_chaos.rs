@@ -102,7 +102,15 @@ fn run_cell(
         config.seed
     );
     let (outcome, seconds) = time(|| match backend {
-        Backend::Loopback => run_scenario_loopback(scenario, system, B, faults, weights, config),
+        Backend::Loopback => run_scenario_loopback(
+            scenario,
+            system,
+            B,
+            faults,
+            weights,
+            config,
+            &Arc::new(ServiceMetrics::new(n)),
+        ),
         Backend::Uds | Backend::Tcp => {
             let plan = scenario.fault_plan(n, faults, weights);
             let server = match backend {
@@ -137,6 +145,7 @@ fn run_cell(
                 server.responsive_set().clone(),
                 &chaos,
                 config,
+                &Arc::new(ServiceMetrics::new(n)),
             )
         }
     });
@@ -254,8 +263,20 @@ fn main() {
                 seed: SEEDS[0] ^ (faults as u64) << 32,
                 ..base.clone()
             };
-            let a = run_scenario_loopback(scenario, &system, B, faults, Some(&weights), &config);
-            let b = run_scenario_loopback(scenario, &system, B, faults, Some(&weights), &config);
+            let replay = || {
+                let metrics = Arc::new(ServiceMetrics::new(n));
+                run_scenario_loopback(
+                    scenario,
+                    &system,
+                    B,
+                    faults,
+                    Some(&weights),
+                    &config,
+                    &metrics,
+                )
+            };
+            let a = replay();
+            let b = replay();
             let outcome_match = a.trace_events == b.trace_events
                 && a.safety_violations() == b.safety_violations()
                 && a.reads_completed == b.reads_completed
@@ -296,7 +317,7 @@ fn main() {
         ..ScenarioConfig::default()
     };
     let suspicion_metrics = Arc::new(ServiceMetrics::new(n));
-    let suspicion_outcome = run_scenario_loopback_with_metrics(
+    let suspicion_outcome = run_scenario_loopback(
         suspicion_scenario,
         &system,
         B,

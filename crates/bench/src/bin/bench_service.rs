@@ -118,7 +118,6 @@ where
     });
     let config = ServiceConfig {
         clients,
-        shards,
         ops_per_client,
         write_fraction: 0.2,
         writers: 1,
@@ -127,7 +126,10 @@ where
     eprintln!(
         "load validation: {name} (n = {n}), {clients} clients x {ops_per_client} ops, {shards} shards, {byz} Byzantine..."
     );
-    let (report, seconds) = time(|| run_service(&strategic, b, &plan, &config));
+    let (report, seconds) = time(|| {
+        let service = LoopbackService::spawn(&plan, shards, config.seed);
+        run_service(&service, &strategic, b, &config)
+    });
     let check = empirical_load_check(
         &name,
         &report.access_counts,
@@ -182,13 +184,13 @@ fn thread_scaling<S: QuorumSystem>(
         );
         let config = ServiceConfig {
             clients,
-            shards,
             ops_per_client,
             write_fraction: 0.2,
             writers: 1,
             seed: 0x7_5ca1e ^ shards as u64,
         };
-        let report = run_service(sys, b, &FaultPlan::none(n), &config);
+        let service = LoopbackService::spawn(&FaultPlan::none(n), shards, config.seed);
+        let report = run_service(&service, sys, b, &config);
         assert!(report.is_safe(), "{}: unsafe scaling run", sys.name());
         rows.push(ScalingRow {
             construction: sys.name(),
@@ -237,13 +239,12 @@ fn validate_availability<S: QuorumSystem>(
             service.reset_plan(&plan, 0xdead ^ trial as u64);
             let config = ServiceConfig {
                 clients: 2,
-                shards: 1,
                 ops_per_client: 8,
                 write_fraction: 0.5,
                 writers: 1,
                 seed: 0xdead ^ trial as u64,
             };
-            let report = run_service_on(&service, sys, b, &config);
+            let report = run_service(&service, sys, b, &config);
             if report.safety_violations > 0 {
                 failures.push(format!(
                     "{}: safety violation under a crash-only plan",

@@ -287,7 +287,7 @@ impl Default for ScenarioConfig {
 }
 
 /// What one scenario run observed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ScenarioOutcome {
     /// The family's stable name.
     pub scenario: &'static str,
@@ -353,34 +353,14 @@ impl ScenarioOutcome {
 /// The caller builds the backend from [`ChaosScenario::fault_plan`] and wraps
 /// it in a [`ChaosTransport`] keyed by the same scenario; `responsive` is the
 /// failure detector's view (partitioned servers deliberately stay *in* the
-/// view — the detector does not know about the cut).
-pub fn run_scenario<Q, T>(
-    scenario: ChaosScenario,
-    system: &Q,
-    b: usize,
-    faults: usize,
-    responsive: ServerSet,
-    chaos: &ChaosTransport<T>,
-    config: &ScenarioConfig,
-) -> ScenarioOutcome
-where
-    Q: QuorumSystem + ?Sized,
-    T: Transport + 'static,
-{
-    let metrics = Arc::new(ServiceMetrics::new(system.universe_size()));
-    run_scenario_with_metrics(
-        scenario, system, b, faults, responsive, chaos, config, &metrics,
-    )
-}
-
-/// [`run_scenario`] recording into caller-supplied [`ServiceMetrics`] — the
-/// entry point for harnesses that inspect the per-server failure-detector
+/// view — the detector does not know about the cut). The client records into
+/// `metrics`, so harnesses can inspect the per-server failure-detector
 /// evidence afterwards (notably the latency-inflation objective, which feeds
-/// the metrics to `bqs-epoch`'s suspicion engine and asserts the
+/// it to `bqs-epoch`'s suspicion engine and asserts the
 /// [`ChaosScenario::TimeoutInflation`] coalition is flagged on p99 evidence
 /// alone).
 #[allow(clippy::too_many_arguments)]
-pub fn run_scenario_with_metrics<Q, T>(
+pub fn run_scenario<Q, T>(
     scenario: ChaosScenario,
     system: &Q,
     b: usize,
@@ -394,91 +374,58 @@ where
     Q: QuorumSystem + ?Sized,
     T: Transport + 'static,
 {
-    let metrics = Arc::clone(metrics);
     let clock = TimestampOracle::new();
     let mut client = ServiceClient::new(system, chaos, responsive, b)
         .with_origin(1)
         .with_reply_deadline(config.reply_deadline)
         .with_retries(config.retries, config.backoff)
-        .with_metrics(Arc::clone(&metrics));
+        .with_metrics(Arc::clone(metrics));
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5ce0_a210);
 
     let mut outcome = ScenarioOutcome {
         scenario: scenario.name(),
         faults,
         b,
-        writes_completed: 0,
-        writes_aborted: 0,
-        reads_completed: 0,
-        reads_inconclusive: 0,
-        reads_aborted: 0,
-        no_live_quorum: 0,
-        authenticity_violations: 0,
-        ryw_violations: 0,
-        timeouts: 0,
-        retries: 0,
-        aborts: 0,
-        drops: 0,
-        duplicates: 0,
-        delayed: 0,
-        trace_events: 0,
-        trace_fingerprint: 0,
+        ..ScenarioOutcome::default()
     };
     // The single writer's read-your-writes frontier: completed writes only
     // (an aborted write promises nothing).
     let mut last_completed_write = 0u64;
 
-    let do_write = |client: &mut ServiceClient<'_, Q, ChaosTransport<T>>,
-                    rng: &mut StdRng,
-                    outcome: &mut ScenarioOutcome,
-                    last_completed_write: &mut u64| {
-        let ts = clock.allocate();
-        let entry = Entry {
-            timestamp: ts,
-            value: authentic_value(ts),
-        };
-        match client.write(entry, rng) {
-            Ok(_) => {
-                outcome.writes_completed += 1;
-                *last_completed_write = ts;
-            }
-            Err(ServiceError::TransportFailure) => outcome.writes_aborted += 1,
-            Err(ServiceError::Protocol(_)) => outcome.no_live_quorum += 1,
-            Err(ServiceError::EpochFenced { .. }) => {
-                unreachable!("the chaos workload never reconfigures")
+    // The writes up front, then the reads with a fresh write before every
+    // `write_every`-th one.
+    for step in 0..config.writes + config.reads {
+        let reading = step >= config.writes;
+        let read_index = step.saturating_sub(config.writes);
+        let fresh_write =
+            config.write_every > 0 && read_index > 0 && read_index % config.write_every == 0;
+        if !reading || fresh_write {
+            let ts = clock.allocate();
+            let entry = Entry {
+                timestamp: ts,
+                value: authentic_value(ts),
+            };
+            match client.write(entry, &mut rng) {
+                Ok(_) => {
+                    outcome.writes_completed += 1;
+                    last_completed_write = ts;
+                }
+                Err(ServiceError::TransportFailure) => outcome.writes_aborted += 1,
+                Err(ServiceError::Protocol(_)) => outcome.no_live_quorum += 1,
+                Err(ServiceError::EpochFenced { .. }) => {
+                    unreachable!("the chaos workload never reconfigures")
+                }
             }
         }
-    };
-
-    for _ in 0..config.writes {
-        do_write(
-            &mut client,
-            &mut rng,
-            &mut outcome,
-            &mut last_completed_write,
-        );
-    }
-    for read_index in 0..config.reads {
-        if config.write_every > 0 && read_index > 0 && read_index % config.write_every == 0 {
-            do_write(
-                &mut client,
-                &mut rng,
-                &mut outcome,
-                &mut last_completed_write,
-            );
+        if !reading {
+            continue;
         }
         match client.read(&mut rng) {
             Ok(read) => {
                 outcome.reads_completed += 1;
-                let entry = read.entry;
-                if entry.timestamp > clock.latest()
-                    || entry.value != authentic_value(entry.timestamp)
-                {
-                    outcome.authenticity_violations += 1;
-                }
-                if entry.timestamp < last_completed_write {
-                    outcome.ryw_violations += 1;
-                }
+                let check = clock.check_read(&read.entry, last_completed_write);
+                outcome.authenticity_violations += u64::from(check.fabricated);
+                outcome.ryw_violations += u64::from(check.stale_own_write);
             }
             Err(ServiceError::Protocol(ProtocolError::NoSafeValue)) => {
                 outcome.reads_inconclusive += 1;
@@ -507,27 +454,10 @@ where
 
 /// Convenience wrapper for the in-process backend: builds the family's fault
 /// plan, spawns a sharded [`LoopbackService`] over it, wraps it in a
-/// [`ChaosTransport`], and runs the workload. Socket backends compose the
-/// same pieces around a `bqs-net` server/transport pair instead (see
-/// `bench_chaos`).
+/// [`ChaosTransport`], and runs the workload recording into `metrics`.
+/// Socket backends compose the same pieces around a `bqs-net`
+/// server/transport pair instead (see `bench_chaos`).
 pub fn run_scenario_loopback<Q>(
-    scenario: ChaosScenario,
-    system: &Q,
-    b: usize,
-    faults: usize,
-    weights: Option<&[f64]>,
-    config: &ScenarioConfig,
-) -> ScenarioOutcome
-where
-    Q: QuorumSystem + ?Sized,
-{
-    let metrics = Arc::new(ServiceMetrics::new(system.universe_size()));
-    run_scenario_loopback_with_metrics(scenario, system, b, faults, weights, config, &metrics)
-}
-
-/// [`run_scenario_loopback`] recording into caller-supplied metrics (see
-/// [`run_scenario_with_metrics`]).
-pub fn run_scenario_loopback_with_metrics<Q>(
     scenario: ChaosScenario,
     system: &Q,
     b: usize,
@@ -549,7 +479,7 @@ where
         scenario.id(),
         scenario.chaos_config_for(n, faults),
     );
-    run_scenario_with_metrics(
+    run_scenario(
         scenario, system, b, faults, responsive, &chaos, config, metrics,
     )
 }
@@ -570,7 +500,15 @@ mod tests {
     fn every_family_masks_at_b_and_detects_at_b_plus_1_on_loopback() {
         let system = ThresholdSystem::minimal_masking(1).unwrap(); // n = 5, b = 1
         for scenario in ChaosScenario::ALL {
-            let at_b = run_scenario_loopback(scenario, &system, 1, 1, None, &quick());
+            let at_b = run_scenario_loopback(
+                scenario,
+                &system,
+                1,
+                1,
+                None,
+                &quick(),
+                &Arc::new(ServiceMetrics::new(5)),
+            );
             assert_eq!(
                 at_b.safety_violations(),
                 0,
@@ -582,7 +520,15 @@ mod tests {
                 "{}: degradation must stay graceful at b ({at_b:?})",
                 scenario.name()
             );
-            let over_b = run_scenario_loopback(scenario, &system, 1, 2, None, &quick());
+            let over_b = run_scenario_loopback(
+                scenario,
+                &system,
+                1,
+                2,
+                None,
+                &quick(),
+                &Arc::new(ServiceMetrics::new(5)),
+            );
             assert!(
                 over_b.detected(),
                 "{}: b + 1 faults must break masking detectably ({over_b:?})",
@@ -599,8 +545,24 @@ mod tests {
             ChaosScenario::Duplicate,
             ChaosScenario::SlowServers,
         ] {
-            let first = run_scenario_loopback(scenario, &system, 1, 2, None, &quick());
-            let second = run_scenario_loopback(scenario, &system, 1, 2, None, &quick());
+            let first = run_scenario_loopback(
+                scenario,
+                &system,
+                1,
+                2,
+                None,
+                &quick(),
+                &Arc::new(ServiceMetrics::new(5)),
+            );
+            let second = run_scenario_loopback(
+                scenario,
+                &system,
+                1,
+                2,
+                None,
+                &quick(),
+                &Arc::new(ServiceMetrics::new(5)),
+            );
             assert_eq!(
                 first.trace_fingerprint,
                 second.trace_fingerprint,
@@ -627,6 +589,7 @@ mod tests {
                     seed: 0x0DD_5EED,
                     ..quick()
                 },
+                &Arc::new(ServiceMetrics::new(5)),
             );
             assert_ne!(first.trace_fingerprint, reseeded.trace_fingerprint);
         }

@@ -105,10 +105,11 @@ pub fn wilson_score_interval(mean: f64, trials: usize) -> (f64, f64) {
 /// Exact crash probability by enumerating every crash configuration.
 ///
 /// Runs on the shared evaluation engine: allocation-free mask iteration with
-/// a `u64` fast path, parallel across all cores once the mask space exceeds
-/// [`crate::eval::PARALLEL_MASK_THRESHOLD`] (below it, the ascending-mask
-/// scalar order is preserved, so results match the historical loop
-/// bit-for-bit). Closed forms are deliberately *not* consulted — this
+/// a `u64` fast path, pinned to one thread. The parallel path splits the sum
+/// into `threads × 8` chunks above [`crate::eval::PARALLEL_MASK_THRESHOLD`],
+/// so its last bits depend on the core count; a single thread keeps the
+/// ascending-mask scalar order at every size, so the result is the same on
+/// every machine. Closed forms are deliberately *not* consulted — this
 /// function is the ground truth they are tested against; use
 /// [`crate::eval::Evaluator::crash_probability`] for dispatching evaluation.
 ///
@@ -120,7 +121,7 @@ pub fn exact_crash_probability<Q: QuorumSystem + ?Sized>(
     system: &Q,
     p: f64,
 ) -> Result<f64, QuorumError> {
-    Evaluator::new().exact(system, p)
+    Evaluator::new().with_threads(1).exact(system, p)
 }
 
 /// The pre-refactor scalar enumerator: single-threaded, one fresh heap

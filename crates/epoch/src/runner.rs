@@ -40,9 +40,7 @@ use bqs_core::error::QuorumError;
 use bqs_core::quorum::ExplicitQuorumSystem;
 use bqs_core::strategic::StrategicQuorumSystem;
 use bqs_service::metrics::ServiceMetrics;
-use bqs_service::openloop::{
-    run_open_loop_session, OpenLoopConfig, OpenLoopReport, OpenLoopSession,
-};
+use bqs_service::openloop::{run_open_loop, OpenLoopConfig, OpenLoopReport, OpenLoopSession};
 use bqs_service::shard::{LoopbackService, TimestampOracle};
 use bqs_service::transport::Transport;
 use bqs_sim::epoch::EpochGate;
@@ -224,14 +222,13 @@ pub fn run_reconfigure<T: Transport + 'static>(
             // One worker: one rng stream and one send order, so the chaos
             // decision fold is replayed in a deterministic order.
             workers: 1,
-            virtual_clients: 64,
             write_fraction: config.write_fraction,
             max_in_flight_per_worker: 1 << 14,
             op_deadline: config.op_deadline,
             tail_deadline: config.tail_deadline,
             seed: config.seed ^ mix(salt),
         };
-        let report = run_open_loop_session(
+        let report = run_open_loop(
             system,
             b,
             transport,

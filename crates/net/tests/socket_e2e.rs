@@ -98,9 +98,9 @@ fn open_loop_generator_runs_safely_over_uds() {
             offered_rate: 1_500.0,
             total_arrivals: 300,
             workers: 2,
-            virtual_clients: 100,
             ..OpenLoopConfig::default()
         },
+        &OpenLoopSession::default(),
     );
     assert!(report.is_safe(), "{report:?}");
     assert_eq!(

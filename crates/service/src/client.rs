@@ -1,34 +1,35 @@
 //! The concurrent strategy-driven protocol client.
 //!
 //! One [`ServiceClient`] runs on one client thread and performs closed-loop
-//! masking-register operations against a [`Transport`]:
+//! masking-register operations against a [`Transport`]. Each operation is one
+//! [`QuorumAccess`], the protocol core shared with the simulator and the
+//! open-loop generator:
 //!
-//! 1. choose an access quorum with the *shared* probe-and-fallback policy
-//!    ([`bqs_sim::client::choose_access_quorum`]) — sample from the system's
-//!    access strategy (the certified-optimal one when the system is a
+//! 1. [`QuorumAccess::start`] chooses the quorum with the shared
+//!    probe-and-fallback policy — sample from the system's access strategy
+//!    (the certified-optimal one when the system is a
 //!    [`bqs_core::strategic::StrategicQuorumSystem`]), retry a few times under
 //!    sporadic failures, fall back to deterministic live-quorum discovery;
-//! 2. fan the operation out to every quorum member in **one**
+//! 2. the client fans the operation out to every quorum member in **one**
 //!    [`Transport::send_batch`] call (one shard wake / one syscall per
 //!    destination, not one per member);
-//! 3. gather exactly one reply per member from the client's private reply
-//!    mailbox, matching by request id — ids are strictly increasing across
-//!    the client's lifetime, so stragglers from an aborted earlier operation
-//!    are recognised and dropped without reallocating anything;
-//! 4. for reads, resolve the value with the shared masking rule
-//!    ([`bqs_sim::client::resolve_read`]): entries with at least `b + 1`
-//!    supporters are safe, the freshest safe entry wins.
+//! 3. it drains its private reply mailbox, drops stragglers by request id —
+//!    ids are strictly increasing across the client's lifetime, so replies
+//!    from an aborted earlier operation are recognised without reallocating
+//!    anything — and hands every other reply to [`QuorumAccess::on_reply`],
+//!    which applies the duplicate, epoch and fence rules;
+//! 4. reads resolve through [`QuorumAccess::finish`]: entries with at least
+//!    `b + 1` supporters are safe, the freshest safe entry wins.
 //!
-//! The client is deliberately transport-agnostic and system-generic — it is
-//! the same protocol logic as the single-threaded simulator's client, re-cast
-//! over message passing so many of them can run against shared shards.
+//! The client owns what needs a clock: the reply deadline, the latency it
+//! records as failure-detector evidence, and the retry backoff.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use bqs_core::bitset::ServerSet;
 use bqs_core::quorum::QuorumSystem;
-use bqs_sim::client::{choose_access_quorum, resolve_read, ProtocolError};
+use bqs_sim::client::{AccessKind, ProtocolError, QuorumAccess, ReplyVerdict};
 use bqs_sim::server::{mix64, Entry};
 use rand::Rng;
 
@@ -217,14 +218,6 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
         self.epoch
     }
 
-    /// Replaces the failure-detector view — paired with [`set_epoch`] when a
-    /// reconfiguration shrinks the universe to the surviving servers.
-    ///
-    /// [`set_epoch`]: ServiceClient::set_epoch
-    pub fn set_responsive(&mut self, responsive: ServerSet) {
-        self.responsive = responsive;
-    }
-
     /// Enables graceful degradation: up to `limit` retries per operation after
     /// a refused send or an expired reply deadline, sleeping an exponentially
     /// doubled `base_backoff` jittered to `[0.5, 1.5)` between attempts (the
@@ -257,14 +250,8 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
         &self.reply_mailbox
     }
 
-    /// The masking level the client assumes.
-    #[must_use]
-    pub fn masking_b(&self) -> usize {
-        self.b
-    }
-
-    /// Fans `op` out to every member of `quorum` in one batched transport
-    /// call and gathers one reply per member, matching by request id.
+    /// Fans `op` out to every member of the access's quorum in one batched
+    /// transport call and feeds the replies to the access until it completes.
     ///
     /// Ids are strictly increasing across the client's lifetime, so a reply
     /// with an id below this operation's range is a straggler from an aborted
@@ -272,12 +259,11 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
     /// replaced, unlike the old channel-per-failure scheme.
     fn rendezvous(
         &mut self,
-        quorum: &ServerSet,
+        access: &mut QuorumAccess,
         op: Operation,
-    ) -> Result<Vec<(usize, Option<Entry>)>, RendezvousFailure> {
-        let expected = quorum.len();
+    ) -> Result<(), RendezvousFailure> {
         let first_id = self.next_request_id + 1;
-        for server in quorum.iter() {
+        for server in access.quorum().iter() {
             self.next_request_id += 1;
             self.fanout.push(Request {
                 server,
@@ -295,8 +281,7 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
             return Err(RendezvousFailure::Refused);
         }
         let started = std::time::Instant::now();
-        let mut replies: Vec<(usize, Option<Entry>)> = Vec::with_capacity(expected);
-        while replies.len() < expected {
+        while !access.is_complete() {
             debug_assert!(self.drained.is_empty());
             match self
                 .reply_mailbox
@@ -308,10 +293,8 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
                         metrics.record_timeout();
                         // Silence past the deadline is per-server failure
                         // evidence: accuse exactly the members still missing.
-                        for server in quorum.iter() {
-                            if !replies.iter().any(|&(s, _)| s == server) {
-                                metrics.record_server_no_answer(server);
-                            }
+                        for server in access.missing() {
+                            metrics.record_server_no_answer(server);
                         }
                     }
                     return Err(RendezvousFailure::TimedOut);
@@ -320,64 +303,38 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
                 // deadline, and let the caller skip the retry loop entirely.
                 DrainStatus::Closed => return Err(RendezvousFailure::Closed),
             }
-            let mut fenced_at: Option<u64> = None;
             for reply in self.drained.drain(..) {
                 // Straggler filter first: replies from an aborted earlier
-                // rendezvous (id below this operation's range) carry an older
-                // epoch stamp and possibly an older strategy — they must
-                // neither add support nor fence this operation.
+                // rendezvous carry an older epoch stamp and possibly an
+                // older strategy — they must neither add support nor fence
+                // this operation.
                 if reply.request_id < first_id {
                     continue;
                 }
-                if reply.stale {
-                    // The servers retired this client's epoch mid-operation.
-                    fenced_at = Some(fenced_at.map_or(reply.epoch, |e| e.max(reply.epoch)));
-                    continue;
-                }
-                // Epoch guard: a served reply must echo this operation's own
-                // stamp. With the id filter above this is belt-and-braces —
-                // but it is the invariant the masking argument rests on (no
-                // quorum mixes replies gathered under two strategies), so it
-                // is enforced here rather than assumed.
-                if reply.epoch != self.epoch {
-                    continue;
-                }
-                // Duplicate filter: a duplicating network must not let a
-                // single Byzantine server reach b + 1 support by echo.
-                if replies.iter().any(|&(server, _)| server == reply.server) {
-                    continue;
-                }
+                let verdict = access.on_reply(reply.server, reply.entry, reply.epoch, reply.stale);
                 if let Some(metrics) = &self.metrics {
-                    // Failure-detector evidence. A write is acknowledged by
-                    // an in-band None, so only reads can accuse a server of
-                    // giving no protocol answer.
-                    let answered = match op {
-                        Operation::Write(_) => true,
-                        Operation::Read => reply.entry.is_some(),
-                    };
-                    if answered {
-                        metrics.record_server_answer(
+                    match verdict {
+                        ReplyVerdict::Answer => metrics.record_server_answer(
                             reply.server,
                             started.elapsed().as_nanos() as u64,
-                        );
-                    } else {
-                        metrics.record_server_no_answer(reply.server);
+                        ),
+                        ReplyVerdict::NoAnswer => metrics.record_server_no_answer(reply.server),
+                        ReplyVerdict::Ignored | ReplyVerdict::Fenced => {}
                     }
                 }
-                replies.push((reply.server, reply.entry));
             }
-            if let Some(current) = fenced_at {
+            if let Some(current) = access.fenced() {
                 return Err(RendezvousFailure::Fenced(current));
             }
         }
-        Ok(replies)
+        Ok(())
     }
 
     /// Applies the retry policy after a failed rendezvous: returns `true` to
     /// retry (after the jittered backoff sleep), `false` to abort. Closure is
     /// terminal regardless of remaining budget. (Fencing never reaches here —
-    /// the operation loops surface it as [`ServiceError::EpochFenced`]
-    /// before consulting the retry policy.)
+    /// the access loop surfaces it as [`ServiceError::EpochFenced`] before
+    /// consulting the retry policy.)
     fn back_off_or_abort(&self, failure: RendezvousFailure, attempt: &mut u32) -> bool {
         if failure == RendezvousFailure::Closed || *attempt >= self.retry_limit {
             if let Some(metrics) = &self.metrics {
@@ -402,19 +359,18 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
         true
     }
 
-    /// Writes `entry` to a quorum chosen by the access strategy.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Protocol`] with [`ProtocolError::NoLiveQuorum`] when no
-    /// quorum of responsive servers exists; [`ServiceError::TransportFailure`]
-    /// when the service is gone.
-    pub fn write<R: Rng>(&mut self, entry: Entry, rng: &mut R) -> Result<ServerSet, ServiceError> {
+    /// Runs one access for `op` to completion under the retry policy.
+    fn access<R: Rng>(&mut self, op: Operation, rng: &mut R) -> Result<QuorumAccess, ServiceError> {
+        let kind = match op {
+            Operation::Read => AccessKind::Read,
+            Operation::Write(_) => AccessKind::Write,
+        };
         let mut attempt = 0u32;
         loop {
-            let quorum = choose_access_quorum(self.system, &self.responsive, rng)?;
-            match self.rendezvous(&quorum, Operation::Write(entry)) {
-                Ok(_) => return Ok(quorum),
+            let mut access =
+                QuorumAccess::start(self.system, &self.responsive, rng, kind, self.epoch)?;
+            match self.rendezvous(&mut access, op) {
+                Ok(()) => return Ok(access),
                 Err(RendezvousFailure::Fenced(current)) => {
                     return Err(ServiceError::EpochFenced { current })
                 }
@@ -427,6 +383,18 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
         }
     }
 
+    /// Writes `entry` to a quorum chosen by the access strategy.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::Protocol`] with [`ProtocolError::NoLiveQuorum`] when no
+    /// quorum of responsive servers exists; [`ServiceError::TransportFailure`]
+    /// when the service is gone.
+    pub fn write<R: Rng>(&mut self, entry: Entry, rng: &mut R) -> Result<ServerSet, ServiceError> {
+        let access = self.access(Operation::Write(entry), rng)?;
+        Ok(access.into_quorum())
+    }
+
     /// Reads the register, masking up to `b` Byzantine replies.
     ///
     /// # Errors
@@ -435,27 +403,12 @@ impl<'s, Q: QuorumSystem + ?Sized, T: Transport + ?Sized> ServiceClient<'s, Q, T
     /// [`ProtocolError::NoSafeValue`] as in the simulator, or
     /// [`ServiceError::TransportFailure`] when the service is gone.
     pub fn read<R: Rng>(&mut self, rng: &mut R) -> Result<ServiceReadOutcome, ServiceError> {
-        let mut attempt = 0u32;
-        loop {
-            let quorum = choose_access_quorum(self.system, &self.responsive, rng)?;
-            match self.rendezvous(&quorum, Operation::Read) {
-                Ok(replies) => {
-                    let (best, _safe) = resolve_read(&replies, self.b)?;
-                    return Ok(ServiceReadOutcome {
-                        entry: best,
-                        quorum,
-                    });
-                }
-                Err(RendezvousFailure::Fenced(current)) => {
-                    return Err(ServiceError::EpochFenced { current })
-                }
-                Err(failure) => {
-                    if !self.back_off_or_abort(failure, &mut attempt) {
-                        return Err(ServiceError::TransportFailure);
-                    }
-                }
-            }
-        }
+        let access = self.access(Operation::Read, rng)?;
+        let (entry, _safe) = access.finish(self.b)?;
+        Ok(ServiceReadOutcome {
+            entry,
+            quorum: access.into_quorum(),
+        })
     }
 }
 

@@ -23,20 +23,23 @@
 //! * [`metrics`] — lock-free relaxed-atomic per-server access counters, a
 //!   fixed-bucket latency histogram, and throughput counters;
 //! * [`client`] — [`client::ServiceClient`]: the masking read/write protocol
-//!   over any [`bqs_core::quorum::QuorumSystem`], re-using the simulator's
-//!   probe-and-fallback quorum selection and `b + 1`-support read resolution,
-//!   recast over message passing;
+//!   over any [`bqs_core::quorum::QuorumSystem`], driving the simulator's
+//!   sans-IO [`bqs_sim::client::QuorumAccess`] core (quorum selection, the
+//!   duplicate/epoch/fence reply rules, `b + 1`-support read resolution) over
+//!   message passing;
 //! * [`runner`] — [`runner::run_service`]: a closed-loop load generator
-//!   (configurable client count, read/write mix, `FaultPlan` reuse) with
-//!   online safety checking sound under concurrency (value authenticity plus
-//!   single-writer read-your-writes); [`runner::run_service_on`] runs the
-//!   same workload against an existing service so repeated trials can reuse
-//!   one shard pool;
+//!   (configurable client count, read/write mix) against an existing
+//!   [`shard::LoopbackService`], so repeated trials can reuse one shard pool,
+//!   with online safety checking sound under concurrency
+//!   ([`shard::TimestampOracle::check_read`]: value authenticity plus
+//!   single-writer read-your-writes);
 //! * [`openloop`] — [`openloop::run_open_loop`]: an open-loop generator
-//!   (Poisson arrivals at a configured *offered* rate, virtual clients
-//!   multiplexed on a few worker threads, operation pipelining) that works
-//!   over any [`transport::Transport`] and exposes the saturation knee that
-//!   closed-loop generation structurally cannot.
+//!   (Poisson arrivals at a configured *offered* rate multiplexed on a few
+//!   worker threads, operation pipelining) that works over any
+//!   [`transport::Transport`] and exposes the saturation knee that
+//!   closed-loop generation structurally cannot; an
+//!   [`openloop::OpenLoopSession`] carries the epoch, client metrics and
+//!   writer clock a multi-phase harness shares across runs.
 //!
 //! Drive it with a [`bqs_core::strategic::StrategicQuorumSystem`] built from
 //! [`bqs_core::load::optimal_load_oracle`]'s certified strategy and the
@@ -56,13 +59,13 @@
 //! let system = ThresholdSystem::minimal_masking(1).unwrap();
 //! let plan = FaultPlan::none(5)
 //!     .with_byzantine(2, ByzantineStrategy::FabricateHighTimestamp { value: 666 });
+//! let service = LoopbackService::spawn(&plan, 2, 7);
 //! let report = run_service(
+//!     &service,
 //!     &system,
 //!     1,
-//!     &plan,
 //!     &ServiceConfig {
 //!         clients: 4,
-//!         shards: 2,
 //!         ops_per_client: 50,
 //!         ..ServiceConfig::default()
 //!     },
@@ -85,12 +88,9 @@ pub mod transport;
 pub use client::{ServiceClient, ServiceError, ServiceReadOutcome};
 pub use mailbox::{DrainStatus, Mailbox, ReplyHandle, ReplyMailbox, ReplySink};
 pub use metrics::{LatencyHistogram, ServiceMetrics};
-pub use openloop::{
-    run_open_loop, run_open_loop_at_epoch, run_open_loop_session, OpenLoopConfig, OpenLoopReport,
-    OpenLoopSession,
-};
-pub use runner::{authentic_value, run_service, run_service_on, ServiceConfig, ServiceReport};
-pub use shard::{LoopbackService, TimestampOracle};
+pub use openloop::{run_open_loop, OpenLoopConfig, OpenLoopReport, OpenLoopSession};
+pub use runner::{run_service, ServiceConfig, ServiceReport};
+pub use shard::{authentic_value, LoopbackService, ReadCheck, TimestampOracle};
 pub use transport::{Operation, Reply, Request, Transport};
 
 /// Convenient glob import for examples and benches.
@@ -98,13 +98,8 @@ pub mod prelude {
     pub use crate::client::{ServiceClient, ServiceError, ServiceReadOutcome};
     pub use crate::mailbox::{DrainStatus, Mailbox, ReplyHandle, ReplyMailbox, ReplySink};
     pub use crate::metrics::{LatencyHistogram, ServiceMetrics};
-    pub use crate::openloop::{
-        run_open_loop, run_open_loop_at_epoch, run_open_loop_session, OpenLoopConfig,
-        OpenLoopReport, OpenLoopSession,
-    };
-    pub use crate::runner::{
-        authentic_value, run_service, run_service_on, ServiceConfig, ServiceReport,
-    };
-    pub use crate::shard::{LoopbackService, TimestampOracle};
+    pub use crate::openloop::{run_open_loop, OpenLoopConfig, OpenLoopReport, OpenLoopSession};
+    pub use crate::runner::{run_service, ServiceConfig, ServiceReport};
+    pub use crate::shard::{authentic_value, LoopbackService, ReadCheck, TimestampOracle};
     pub use crate::transport::{Operation, Reply, Request, Transport};
 }

@@ -16,11 +16,10 @@
 //!
 //! # Mechanics
 //!
-//! * `virtual_clients` logical clients are multiplexed onto `workers` OS
-//!   threads. Each worker runs its own Poisson arrival process at
-//!   `offered_rate / workers` (the superposition of independent Poisson
-//!   streams is Poisson at the summed rate), tagging every arrival with a
-//!   virtual-client id.
+//! * Arrivals are multiplexed onto `workers` OS threads. Each worker runs its
+//!   own Poisson arrival process at `offered_rate / workers` (the
+//!   superposition of independent Poisson streams is Poisson at the summed
+//!   rate).
 //! * Operations **pipeline**: a worker fires a new arrival's quorum fan-out
 //!   without waiting for earlier operations, keeping up to
 //!   `max_in_flight_per_worker` operations outstanding. Each fan-out goes
@@ -29,7 +28,9 @@
 //!   one swap-buffer reply mailbox per worker, drained in whole batches and
 //!   matched by [`Reply::request_id`] (the ids encode the owning operation)
 //!   — so thousands of in-flight operations share one completion path with
-//!   no per-op channel allocation.
+//!   no per-op channel allocation. Each operation is a [`QuorumAccess`], the
+//!   protocol core shared with the closed-loop client; the worker owns only
+//!   the clock (arrivals, latency, deadlines).
 //! * When the in-flight cap is hit, further arrivals are **shed** (counted,
 //!   never silently dropped) — the open-loop semantics stay honest while
 //!   memory stays bounded far past the knee.
@@ -47,15 +48,15 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bqs_core::quorum::QuorumSystem;
-use bqs_sim::client::{choose_access_quorum, resolve_read, ProtocolError};
+use bqs_sim::client::{AccessKind, ProtocolError, QuorumAccess, ReplyVerdict};
 use bqs_sim::server::Entry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::client::ServiceClient;
 use crate::mailbox::{DrainStatus, ReplyHandle, ReplyMailbox};
 use crate::metrics::{LatencyHistogram, ServiceMetrics};
-use crate::runner::authentic_value;
-use crate::shard::TimestampOracle;
+use crate::shard::{authentic_value, TimestampOracle};
 use crate::transport::{Operation, Reply, Request, Transport};
 
 /// Configuration of one open-loop measurement point.
@@ -67,10 +68,8 @@ pub struct OpenLoopConfig {
     /// keeps runs deterministic in size; wall-clock follows as
     /// `total_arrivals / offered_rate` plus drain).
     pub total_arrivals: usize,
-    /// OS threads multiplexing the virtual clients.
+    /// OS threads the arrivals are multiplexed onto.
     pub workers: usize,
-    /// Logical clients the arrivals are attributed to.
-    pub virtual_clients: usize,
     /// Fraction of arrivals that are writes.
     pub write_fraction: f64,
     /// In-flight operation cap per worker; arrivals beyond it are shed.
@@ -91,7 +90,6 @@ impl Default for OpenLoopConfig {
             offered_rate: 1_000.0,
             total_arrivals: 2_000,
             workers: 2,
-            virtual_clients: 1_000,
             write_fraction: 0.2,
             max_in_flight_per_worker: 2_048,
             op_deadline: Duration::from_secs(10),
@@ -136,6 +134,12 @@ pub struct OpenLoopReport {
     /// saturation judgements should compare achieved throughput against
     /// *this*, not the configured rate, or schedule noise reads as capacity.
     pub realized_offered_ops_per_sec: f64,
+    /// The arrival rate the Poisson schedule itself planned: `scheduled` over
+    /// the latest planned arrival offset of any worker. It carries the same
+    /// sampling noise as the realised rate but none of the injection lag, so
+    /// `realized / planned` well below one means the injector could not keep
+    /// up with its own schedule.
+    pub planned_offered_ops_per_sec: f64,
     /// Completed round trips (writes + safe reads + inconclusive reads) per
     /// wall-clock second — the *achieved* rate to compare against offered.
     pub achieved_ops_per_sec: f64,
@@ -195,9 +199,7 @@ impl OpenLoopReport {
 struct PendingOp {
     started: Instant,
     deadline: Instant,
-    is_write: bool,
-    quorum: bqs_core::bitset::ServerSet,
-    replies: Vec<(usize, Option<Entry>)>,
+    access: QuorumAccess,
 }
 
 /// Per-worker tallies folded into the final report.
@@ -216,36 +218,8 @@ struct WorkerTally {
     latencies_ns: Vec<u64>,
     last_completion: Option<Instant>,
     last_arrival: Option<Instant>,
-}
-
-/// Drives `transport` with Poisson arrivals at `config.offered_rate` and
-/// returns the achieved-rate / latency measurement. `responsive` is the
-/// failure detector's view used for quorum selection (pass the server side's
-/// view for in-process measurements, or a full set when no faults are
-/// injected); `b` is the masking level applied to reads.
-///
-/// The register is primed with one synchronous write before measurement
-/// starts (when a live quorum exists), so steady-state reads do not pay the
-/// cold-register inconclusive penalty.
-///
-/// # Panics
-///
-/// Panics if the transport's universe differs from the system's or the
-/// configuration is degenerate (zero rate/arrivals/workers/cap, or a
-/// write fraction outside `[0, 1]`).
-#[must_use]
-pub fn run_open_loop<Q, T>(
-    system: &Q,
-    b: usize,
-    transport: &T,
-    responsive: &bqs_core::bitset::ServerSet,
-    config: &OpenLoopConfig,
-) -> OpenLoopReport
-where
-    Q: QuorumSystem + ?Sized,
-    T: Transport + ?Sized,
-{
-    run_open_loop_at_epoch(system, b, transport, responsive, config, 0, None)
+    /// Offset of the latest planned arrival from the worker's start.
+    planned_span: Duration,
 }
 
 /// Ambient state an open-loop run shares with the longer-lived session it is
@@ -254,68 +228,41 @@ where
 /// must share a single [`TimestampOracle`] — the freshness half of the safety
 /// check compares read timestamps against the *writer's* clock, and a clock
 /// restarted per phase would misread every earlier phase's (perfectly
-/// authentic) entries as fabrications.
+/// authentic) entries as fabrications. `OpenLoopSession::default()` is a
+/// single-phase run at epoch 0 with a fresh clock and no client metrics.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct OpenLoopSession<'a> {
-    /// The epoch stamped on every request of this run.
+    /// The epoch stamped on every request of this run (a service that has
+    /// never reconfigured runs at epoch 0).
     pub epoch: u64,
-    /// Client-side metrics: per-server access counts and failure-detector
-    /// evidence (`None` skips the accounting).
+    /// Client-side metrics: completed operations record per-server access
+    /// counts (feeding [`ServiceMetrics::empirical_loads`]) and every reply
+    /// feeds the per-server failure-detector evidence the `bqs-epoch`
+    /// suspicion engine reads. `None` skips the accounting.
     pub metrics: Option<&'a ServiceMetrics>,
     /// The writer clock; `None` makes the run its own single-phase session
     /// with a fresh clock.
     pub clock: Option<&'a TimestampOracle>,
 }
 
-/// [`run_open_loop`] with an explicit epoch stamp and optional client-side
-/// metrics — the entry point reconfiguration harnesses use. `epoch` is
-/// stamped on every request (a service that has never reconfigured runs at
-/// epoch 0); when `metrics` is given, completed operations record per-server
-/// access counts (feeding [`ServiceMetrics::empirical_loads`]) and every
-/// reply feeds the per-server failure-detector evidence the `bqs-epoch`
-/// suspicion engine reads.
+/// Drives `transport` with Poisson arrivals at `config.offered_rate` and
+/// returns the achieved-rate / latency measurement. `responsive` is the
+/// failure detector's view used for quorum selection (pass the server side's
+/// view for in-process measurements, or a full set when no faults are
+/// injected); `b` is the masking level applied to reads; `session` supplies
+/// the epoch stamp, the evidence metrics and the writer clock.
+///
+/// The register is primed with one best-effort write before measurement
+/// starts, so steady-state reads do not pay the cold-register inconclusive
+/// penalty.
 ///
 /// # Panics
 ///
-/// As [`run_open_loop`]; additionally if `metrics` covers a different
-/// universe than the system.
+/// Panics if the transport's or the metrics' universe differs from the
+/// system's, or the configuration is degenerate (zero rate/arrivals/workers/
+/// cap, or a write fraction outside `[0, 1]`).
 #[must_use]
-pub fn run_open_loop_at_epoch<Q, T>(
-    system: &Q,
-    b: usize,
-    transport: &T,
-    responsive: &bqs_core::bitset::ServerSet,
-    config: &OpenLoopConfig,
-    epoch: u64,
-    metrics: Option<&ServiceMetrics>,
-) -> OpenLoopReport
-where
-    Q: QuorumSystem + ?Sized,
-    T: Transport + ?Sized,
-{
-    run_open_loop_session(
-        system,
-        b,
-        transport,
-        responsive,
-        config,
-        &OpenLoopSession {
-            epoch,
-            metrics,
-            clock: None,
-        },
-    )
-}
-
-/// [`run_open_loop_at_epoch`] as one phase of a multi-run session: the
-/// session supplies the epoch stamp, the evidence metrics, and (crucially)
-/// the shared writer clock — see [`OpenLoopSession`].
-///
-/// # Panics
-///
-/// As [`run_open_loop_at_epoch`].
-#[must_use]
-pub fn run_open_loop_session<Q, T>(
+pub fn run_open_loop<Q, T>(
     system: &Q,
     b: usize,
     transport: &T,
@@ -327,9 +274,7 @@ where
     Q: QuorumSystem + ?Sized,
     T: Transport + ?Sized,
 {
-    let epoch = session.epoch;
-    let metrics = session.metrics;
-    if let Some(metrics) = metrics {
+    if let Some(metrics) = session.metrics {
         assert_eq!(
             metrics.universe_size(),
             system.universe_size(),
@@ -348,10 +293,6 @@ where
     assert!(config.total_arrivals > 0, "need at least one arrival");
     assert!(config.workers > 0, "need at least one worker");
     assert!(
-        config.virtual_clients > 0,
-        "need at least one virtual client"
-    );
-    assert!(
         config.max_in_flight_per_worker > 0,
         "need a positive in-flight cap"
     );
@@ -368,44 +309,42 @@ where
             &owned_clock
         }
     };
-    prime_register(
+    // Prime the register with one best-effort write. A lossy transport can
+    // swallow a priming reply, so it waits no longer than a real operation.
+    let ts = clock.allocate();
+    let _ = ServiceClient::new(system, transport, responsive.clone(), b)
+        .with_epoch(session.epoch)
+        .with_reply_deadline(config.op_deadline)
+        .write(
+            Entry {
+                timestamp: ts,
+                value: authentic_value(ts),
+            },
+            &mut StdRng::seed_from_u64(config.seed ^ 0x9e37_79b9_7f4a_7c15),
+        );
+
+    let run = &Run {
         system,
+        b,
         transport,
         responsive,
+        config,
+        session,
         clock,
-        config.seed,
-        epoch,
-        config.op_deadline,
-    );
-
+        hist: LatencyHistogram::new(),
+    };
     let workers = config.workers.min(config.total_arrivals);
     let per_worker_rate = config.offered_rate / workers as f64;
-    let hist = LatencyHistogram::new();
     let started = Instant::now();
     let tallies: Vec<WorkerTally> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for worker_id in 0..workers {
-            let hist = &hist;
-            // Spread the remainder so exactly `total_arrivals` are scheduled.
-            let quota = config.total_arrivals / workers
-                + usize::from(worker_id < config.total_arrivals % workers);
-            handles.push(scope.spawn(move || {
-                worker_loop(
-                    system,
-                    b,
-                    transport,
-                    responsive,
-                    clock,
-                    hist,
-                    config,
-                    worker_id,
-                    quota,
-                    per_worker_rate,
-                    epoch,
-                    metrics,
-                )
-            }));
-        }
+        let handles: Vec<_> = (0..workers)
+            .map(|worker_id| {
+                // Spread the remainder so exactly `total_arrivals` are scheduled.
+                let quota = config.total_arrivals / workers
+                    + usize::from(worker_id < config.total_arrivals % workers);
+                scope.spawn(move || run.worker_loop(worker_id, quota, per_worker_rate))
+            })
+            .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("open-loop workers do not panic"))
@@ -413,8 +352,6 @@ where
     });
 
     let mut folded = WorkerTally::default();
-    let mut last_completion = started;
-    let mut last_arrival = started;
     for t in tallies {
         folded.writes += t.writes;
         folded.reads += t.reads;
@@ -427,15 +364,13 @@ where
         folded.violations += t.violations;
         folded.peak_in_flight += t.peak_in_flight;
         folded.latencies_ns.extend(t.latencies_ns);
-        if let Some(at) = t.last_completion {
-            last_completion = last_completion.max(at);
-        }
-        if let Some(at) = t.last_arrival {
-            last_arrival = last_arrival.max(at);
-        }
+        folded.last_completion = folded.last_completion.max(t.last_completion);
+        folded.last_arrival = folded.last_arrival.max(t.last_arrival);
+        folded.planned_span = folded.planned_span.max(t.planned_span);
     }
     folded.latencies_ns.sort_unstable();
-    let elapsed = (last_completion - started).as_secs_f64();
+    let elapsed = (folded.last_completion.unwrap_or(started) - started).as_secs_f64();
+    let arrival_span = (folded.last_arrival.unwrap_or(started) - started).as_secs_f64();
     let completed = folded.writes + folded.reads + folded.inconclusive;
     let quantile = |q: f64| -> u64 {
         if folded.latencies_ns.is_empty() {
@@ -468,13 +403,15 @@ where
         fenced: folded.fenced,
         safety_violations: folded.violations,
         elapsed_seconds: elapsed,
-        realized_offered_ops_per_sec: {
-            let span = (last_arrival - started).as_secs_f64();
-            if span > 0.0 {
-                config.total_arrivals as f64 / span
-            } else {
-                config.offered_rate
-            }
+        realized_offered_ops_per_sec: if arrival_span > 0.0 {
+            config.total_arrivals as f64 / arrival_span
+        } else {
+            config.offered_rate
+        },
+        planned_offered_ops_per_sec: if folded.planned_span > Duration::ZERO {
+            config.total_arrivals as f64 / folded.planned_span.as_secs_f64()
+        } else {
+            config.offered_rate
         },
         achieved_ops_per_sec: if elapsed > 0.0 {
             completed as f64 / elapsed
@@ -488,336 +425,258 @@ where
         latency_p90_ns: quantile(0.90),
         latency_p99_ns: quantile(0.99),
         latency_max_ns: folded.latencies_ns.last().copied().unwrap_or(0),
-        latency_hist_p50_ns: hist.quantile(0.50).unwrap_or(0),
-        latency_hist_p99_ns: hist.quantile(0.99).unwrap_or(0),
-        latency_hist_p999_ns: hist.quantile(0.999).unwrap_or(0),
+        latency_hist_p50_ns: run.hist.quantile(0.50).unwrap_or(0),
+        latency_hist_p99_ns: run.hist.quantile(0.99).unwrap_or(0),
+        latency_hist_p999_ns: run.hist.quantile(0.999).unwrap_or(0),
     }
 }
 
-/// Writes one authentic entry synchronously so steady-state reads find a
-/// safe value. Best-effort: skipped when no live quorum exists or replies
-/// do not arrive within the run's per-operation deadline (a lossy transport
-/// can swallow a priming reply; waiting longer than any real operation
-/// would only stall the measurement).
-#[allow(clippy::too_many_arguments)]
-fn prime_register<Q, T>(
-    system: &Q,
-    transport: &T,
-    responsive: &bqs_core::bitset::ServerSet,
-    clock: &TimestampOracle,
-    seed: u64,
-    epoch: u64,
-    deadline: Duration,
-) where
-    Q: QuorumSystem + ?Sized,
-    T: Transport + ?Sized,
-{
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-    let Ok(quorum) = choose_access_quorum(system, responsive, &mut rng) else {
-        return;
-    };
-    let ts = clock.allocate();
-    let entry = Entry {
-        timestamp: ts,
-        value: authentic_value(ts),
-    };
-    let mailbox = Arc::new(ReplyMailbox::new());
-    let mut fanout: Vec<Request> = quorum
-        .iter()
-        .map(|server| Request {
-            server,
-            op: Operation::Write(entry),
-            request_id: u64::MAX - server as u64,
-            origin: 0,
-            epoch,
-            reply: Arc::clone(&mailbox) as ReplyHandle,
-        })
-        .collect();
-    let sent = fanout.len();
-    let _ = transport.send_batch(&mut fanout);
-    let deadline = Instant::now() + deadline;
-    let mut gathered = 0usize;
-    let mut drained = Vec::new();
-    while gathered < sent {
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        let status = mailbox.drain_timeout(deadline - now, &mut drained);
-        let got = status.count();
-        if got == 0 {
-            // TimedOut and Closed alike end the priming wait: nothing more
-            // is coming (or worth waiting for) before the real run starts.
-            break;
-        }
-        gathered += got;
-        drained.clear();
-    }
-}
-
-/// One worker's event loop: schedule Poisson arrivals, pipeline quorum
-/// fan-outs (one batched transport call each), drain whole batches of
-/// replies from the worker's mailbox, match them by request id, expire
-/// deadlines.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<Q, T>(
-    system: &Q,
+/// What every worker of one open-loop run shares.
+struct Run<'a, Q: ?Sized, T: ?Sized> {
+    system: &'a Q,
     b: usize,
-    transport: &T,
-    responsive: &bqs_core::bitset::ServerSet,
-    clock: &TimestampOracle,
-    hist: &LatencyHistogram,
-    config: &OpenLoopConfig,
-    worker_id: usize,
-    quota: usize,
-    rate: f64,
-    epoch: u64,
-    metrics: Option<&ServiceMetrics>,
-) -> WorkerTally
-where
-    Q: QuorumSystem + ?Sized,
-    T: Transport + ?Sized,
-{
-    let mut rng =
-        StdRng::seed_from_u64(config.seed ^ 0x0be4_100bu64.wrapping_mul(worker_id as u64 + 1));
-    let reply_mailbox = Arc::new(ReplyMailbox::new());
-    let mut fanout: Vec<Request> = Vec::new();
-    let mut drained: Vec<Reply> = Vec::new();
-    let mut pending: HashMap<u64, PendingOp> = HashMap::new();
-    let mut tally = WorkerTally::default();
-    // Request ids encode (worker, operation): the low 8 bits distinguish the
-    // members of one fan-out (transports need per-request uniqueness), the
-    // rest is the operation key the reply is matched back to.
-    let worker_tag = (worker_id as u64 + 1) << 48;
-    let mut op_seq: u64 = 0;
-    let vclients_here = (config.virtual_clients / config.workers.max(1)).max(1);
+    transport: &'a T,
+    responsive: &'a bqs_core::bitset::ServerSet,
+    config: &'a OpenLoopConfig,
+    session: &'a OpenLoopSession<'a>,
+    clock: &'a TimestampOracle,
+    hist: LatencyHistogram,
+}
 
-    let started = Instant::now();
-    let mut launched = 0usize;
-    let mut next_arrival = started + exp_gap(rate, &mut rng);
-    let mut tail_end: Option<Instant> = None;
+impl<Q: QuorumSystem + ?Sized, T: Transport + ?Sized> Run<'_, Q, T> {
+    /// One worker's event loop: schedule Poisson arrivals, pipeline quorum
+    /// fan-outs (one batched transport call each), drain whole batches of
+    /// replies from the worker's mailbox, match them by request id, expire
+    /// deadlines.
+    fn worker_loop(&self, worker_id: usize, quota: usize, rate: f64) -> WorkerTally {
+        let config = self.config;
+        let mut rng =
+            StdRng::seed_from_u64(config.seed ^ 0x0be4_100bu64.wrapping_mul(worker_id as u64 + 1));
+        let reply_mailbox = Arc::new(ReplyMailbox::new());
+        let mut fanout: Vec<Request> = Vec::new();
+        let mut drained: Vec<Reply> = Vec::new();
+        let mut pending: HashMap<u64, PendingOp> = HashMap::new();
+        let mut tally = WorkerTally::default();
+        // Request ids encode (worker, operation): the low 8 bits distinguish
+        // the members of one fan-out (transports need per-request uniqueness),
+        // the rest is the operation key the reply is matched back to.
+        let worker_tag = (worker_id as u64 + 1) << 48;
+        let mut op_seq: u64 = 0;
 
-    loop {
-        let now = Instant::now();
+        let started = Instant::now();
+        let mut launched = 0usize;
+        let mut next_arrival = started + exp_gap(rate, &mut rng);
+        let mut tail_end: Option<Instant> = None;
 
-        // Arrival phase: fire every arrival whose time has come.
-        while launched < quota && now >= next_arrival {
-            launched += 1;
-            next_arrival += exp_gap(rate, &mut rng);
-            tally.last_arrival = Some(now);
-            if pending.len() >= config.max_in_flight_per_worker {
-                tally.shed += 1;
-                continue;
-            }
-            // The virtual client this arrival belongs to (uniform attribution
-            // — each of the worker's virtual clients is a Poisson source of
-            // rate `rate / vclients_here`).
-            let _vclient = rng.gen_range_u64(0, vclients_here as u64);
-            let quorum = match choose_access_quorum(system, responsive, &mut rng) {
-                Ok(q) => q,
-                Err(ProtocolError::NoLiveQuorum) => {
-                    tally.no_live_quorum += 1;
+        loop {
+            let now = Instant::now();
+
+            // Arrival phase: fire every arrival whose time has come.
+            while launched < quota && now >= next_arrival {
+                launched += 1;
+                tally.planned_span = next_arrival - started;
+                next_arrival += exp_gap(rate, &mut rng);
+                tally.last_arrival = Some(now);
+                if pending.len() >= config.max_in_flight_per_worker {
+                    tally.shed += 1;
                     continue;
                 }
-                Err(ProtocolError::NoSafeValue) => unreachable!("selection cannot lack values"),
-            };
-            let is_write = rng.gen_bool(config.write_fraction);
-            let op = if is_write {
-                let ts = clock.allocate();
-                Operation::Write(Entry {
-                    timestamp: ts,
-                    value: authentic_value(ts),
-                })
+                let is_write = rng.gen_bool(config.write_fraction);
+                let kind = if is_write {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                let access = match QuorumAccess::start(
+                    self.system,
+                    self.responsive,
+                    &mut rng,
+                    kind,
+                    self.session.epoch,
+                ) {
+                    Ok(access) => access,
+                    Err(ProtocolError::NoLiveQuorum) => {
+                        tally.no_live_quorum += 1;
+                        continue;
+                    }
+                    Err(ProtocolError::NoSafeValue) => unreachable!("selection cannot lack values"),
+                };
+                let op = if is_write {
+                    let ts = self.clock.allocate();
+                    Operation::Write(Entry {
+                        timestamp: ts,
+                        value: authentic_value(ts),
+                    })
+                } else {
+                    Operation::Read
+                };
+                op_seq += 1;
+                let op_key = worker_tag | (op_seq << 8);
+                let op_started = Instant::now();
+                debug_assert!(fanout.is_empty());
+                for (member, server) in access.quorum().iter().enumerate() {
+                    fanout.push(Request {
+                        server,
+                        op,
+                        request_id: op_key | member as u64,
+                        origin: worker_id as u64 + 1,
+                        epoch: self.session.epoch,
+                        reply: Arc::clone(&reply_mailbox) as ReplyHandle,
+                    });
+                }
+                if !self.transport.send_batch(&mut fanout) {
+                    // The op is unaccounted on the wire; stragglers from a
+                    // partially delivered fan-out are dropped by the id match
+                    // below (no pending entry exists for them).
+                    fanout.clear();
+                    tally.rejected += 1;
+                    continue;
+                }
+                pending.insert(
+                    op_key,
+                    PendingOp {
+                        started: op_started,
+                        deadline: op_started + config.op_deadline,
+                        access,
+                    },
+                );
+                tally.peak_in_flight = tally.peak_in_flight.max(pending.len() as u64);
+            }
+
+            // Completion criteria: all arrivals fired and nothing left in
+            // flight (or the tail window has closed on what remains).
+            if launched >= quota {
+                if pending.is_empty() {
+                    break;
+                }
+                let tail = *tail_end.get_or_insert_with(|| Instant::now() + config.tail_deadline);
+                if Instant::now() >= tail {
+                    tally.timed_out += pending.len() as u64;
+                    pending.clear();
+                    break;
+                }
+            }
+
+            // Reply phase: wait until the next arrival is due (bounded so
+            // deadline expiry stays responsive), then drain everything ready.
+            let wait = if launched < quota {
+                next_arrival
+                    .saturating_duration_since(Instant::now())
+                    .min(Duration::from_millis(20))
             } else {
-                Operation::Read
+                Duration::from_millis(20)
             };
-            op_seq += 1;
-            let op_key = worker_tag | (op_seq << 8);
-            let expected = quorum.len();
-            let op_started = Instant::now();
-            debug_assert!(fanout.is_empty());
-            for (member, server) in quorum.iter().enumerate() {
-                fanout.push(Request {
-                    server,
-                    op,
-                    request_id: op_key | member as u64,
-                    origin: worker_id as u64 + 1,
-                    epoch,
-                    reply: Arc::clone(&reply_mailbox) as ReplyHandle,
-                });
-            }
-            if !transport.send_batch(&mut fanout) {
-                // The op is unaccounted on the wire; stragglers from a
-                // partially delivered fan-out are dropped by the id match
-                // below (no pending entry exists for them).
-                fanout.clear();
-                tally.rejected += 1;
-                continue;
-            }
-            pending.insert(
-                op_key,
-                PendingOp {
-                    started: op_started,
-                    deadline: op_started + config.op_deadline,
-                    is_write,
-                    quorum,
-                    replies: Vec::with_capacity(expected),
-                },
-            );
-            tally.peak_in_flight = tally.peak_in_flight.max(pending.len() as u64);
-        }
-
-        // Completion criteria: all arrivals fired and nothing left in flight
-        // (or the tail window has closed on what remains).
-        if launched >= quota {
-            if pending.is_empty() {
-                break;
-            }
-            let tail = *tail_end.get_or_insert_with(|| Instant::now() + config.tail_deadline);
-            if Instant::now() >= tail {
-                tally.timed_out += pending.len() as u64;
-                pending.clear();
-                break;
-            }
-        }
-
-        // Reply phase: wait until the next arrival is due (bounded so
-        // deadline expiry stays responsive), then drain everything ready.
-        let wait = if launched < quota {
-            next_arrival
-                .saturating_duration_since(Instant::now())
-                .min(Duration::from_millis(20))
-        } else {
-            Duration::from_millis(20)
-        };
-        match reply_mailbox.drain_timeout(wait, &mut drained) {
-            DrainStatus::Drained(_) => {
-                for reply in drained.drain(..) {
-                    handle_reply(
-                        reply,
-                        &mut pending,
-                        &mut tally,
-                        b,
-                        clock,
-                        hist,
-                        epoch,
-                        metrics,
-                    );
+            match reply_mailbox.drain_timeout(wait, &mut drained) {
+                DrainStatus::Drained(_) => {
+                    for reply in drained.drain(..) {
+                        self.handle_reply(reply, &mut pending, &mut tally);
+                    }
+                }
+                DrainStatus::TimedOut => {}
+                DrainStatus::Closed => {
+                    // The reply path died under us: every in-flight operation
+                    // is answerless forever. Account them as timed out and
+                    // stop instead of spinning on a dead mailbox.
+                    tally.timed_out += pending.len() as u64;
+                    pending.clear();
+                    break;
                 }
             }
-            DrainStatus::TimedOut => {}
-            DrainStatus::Closed => {
-                // The reply path died under us: every in-flight operation is
-                // answerless forever. Account them as timed out and stop
-                // instead of spinning on a dead mailbox until the deadline.
-                tally.timed_out += pending.len() as u64;
-                pending.clear();
-                break;
-            }
-        }
 
-        // Expiry phase: abandon operations past their deadline, accusing
-        // every quorum member that never answered (per-server no-answer
-        // evidence for the failure detector).
-        let now = Instant::now();
-        if pending.values().any(|op| now >= op.deadline) {
-            let before = pending.len();
-            pending.retain(|_, op| {
-                if now < op.deadline {
-                    return true;
-                }
-                if let Some(metrics) = metrics {
-                    for server in op.quorum.iter() {
-                        if !op.replies.iter().any(|&(s, _)| s == server) {
+            // Expiry phase: abandon operations past their deadline, accusing
+            // every quorum member that never answered (per-server no-answer
+            // evidence for the failure detector).
+            let now = Instant::now();
+            if pending.values().any(|op| now >= op.deadline) {
+                let before = pending.len();
+                pending.retain(|_, op| {
+                    if now < op.deadline {
+                        return true;
+                    }
+                    if let Some(metrics) = self.session.metrics {
+                        for server in op.access.missing() {
                             metrics.record_server_no_answer(server);
                         }
                     }
-                }
-                false
-            });
-            tally.timed_out += (before - pending.len()) as u64;
+                    false
+                });
+                tally.timed_out += (before - pending.len()) as u64;
+            }
         }
+        tally
     }
-    tally
-}
 
-/// Matches one reply to its pending operation and resolves the operation
-/// when the last quorum member has answered.
-#[allow(clippy::too_many_arguments)]
-fn handle_reply(
-    reply: Reply,
-    pending: &mut HashMap<u64, PendingOp>,
-    tally: &mut WorkerTally,
-    b: usize,
-    clock: &TimestampOracle,
-    hist: &LatencyHistogram,
-    epoch: u64,
-    metrics: Option<&ServiceMetrics>,
-) {
-    let op_key = reply.request_id & !0xff;
-    if reply.stale {
-        // A server's epoch gate fenced this operation: the whole fan-out is
-        // unusable (a fenced operation must never complete with fewer-than-
-        // quorum strategies mixed in), so the op is abandoned here. Fencing
-        // is a configuration signal, not server misbehaviour — no accusal.
-        if pending.remove(&op_key).is_some() {
-            tally.fenced += 1;
-        }
-        return;
-    }
-    if reply.epoch != epoch {
-        return; // cross-epoch stray: must never count as support
-    }
-    let Some(op) = pending.get_mut(&op_key) else {
-        return; // straggler from an expired/rejected operation
-    };
-    if op.replies.iter().any(|&(server, _)| server == reply.server) {
-        return; // duplicate delivery: a server's echo must not add support
-    }
-    if let Some(metrics) = metrics {
-        // Failure-detector evidence: a write is answered by any ack; a read
-        // is answered only by an entry (in-band `None` is a crashed replica
-        // owner declining to serve — see the transport's no-answer contract).
-        let answered = op.is_write || reply.entry.is_some();
-        if answered {
-            metrics.record_server_answer(reply.server, op.started.elapsed().as_nanos() as u64);
-        } else {
-            metrics.record_server_no_answer(reply.server);
-        }
-    }
-    op.replies.push((reply.server, reply.entry));
-    if op.replies.len() < op.quorum.len() {
-        return;
-    }
-    let op = pending.remove(&op_key).expect("just observed");
-    let latency = op.started.elapsed().as_nanos() as u64;
-    if op.is_write {
-        tally.writes += 1;
-    } else {
-        match resolve_read(&op.replies, b) {
-            Ok((best, _)) => {
-                tally.reads += 1;
-                if best.value != authentic_value(best.timestamp) || best.timestamp > clock.latest()
-                {
-                    tally.violations += 1;
+    /// Matches one reply to its pending operation and resolves the operation
+    /// when the last quorum member has answered.
+    fn handle_reply(
+        &self,
+        reply: Reply,
+        pending: &mut HashMap<u64, PendingOp>,
+        tally: &mut WorkerTally,
+    ) {
+        let metrics = self.session.metrics;
+        let op_key = reply.request_id & !0xff;
+        let Some(op) = pending.get_mut(&op_key) else {
+            return; // straggler from an expired/rejected operation
+        };
+        match op
+            .access
+            .on_reply(reply.server, reply.entry, reply.epoch, reply.stale)
+        {
+            ReplyVerdict::Ignored => return,
+            ReplyVerdict::Fenced => {
+                // The whole fan-out is unusable (a fenced operation must never
+                // complete with strategies mixed in), so the op is abandoned.
+                // Fencing is a configuration signal, not misbehaviour: no
+                // accusal.
+                pending.remove(&op_key);
+                tally.fenced += 1;
+                return;
+            }
+            ReplyVerdict::Answer => {
+                if let Some(metrics) = metrics {
+                    let elapsed = op.started.elapsed().as_nanos() as u64;
+                    metrics.record_server_answer(reply.server, elapsed);
                 }
             }
-            Err(ProtocolError::NoSafeValue) => tally.inconclusive += 1,
-            Err(ProtocolError::NoLiveQuorum) => unreachable!("resolution cannot lack quorums"),
+            ReplyVerdict::NoAnswer => {
+                if let Some(metrics) = metrics {
+                    metrics.record_server_no_answer(reply.server);
+                }
+            }
         }
-    }
-    if let Some(metrics) = metrics {
-        // Client-side load accounting: the completed operation touched every
-        // member of its quorum once (matches the server-side definition, but
-        // works across any transport backend).
-        for server in op.quorum.iter() {
-            metrics.record_access(server);
+        if !op.access.is_complete() {
+            return;
         }
-        metrics.record_operation(latency);
+        let op = pending.remove(&op_key).expect("just observed");
+        let latency = op.started.elapsed().as_nanos() as u64;
+        if op.access.kind() == AccessKind::Write {
+            tally.writes += 1;
+        } else {
+            match op.access.finish(self.b) {
+                Ok((best, _)) => {
+                    tally.reads += 1;
+                    if self.clock.check_read(&best, 0).violated() {
+                        tally.violations += 1;
+                    }
+                }
+                Err(ProtocolError::NoSafeValue) => tally.inconclusive += 1,
+                Err(ProtocolError::NoLiveQuorum) => unreachable!("resolution cannot lack quorums"),
+            }
+        }
+        if let Some(metrics) = metrics {
+            // Client-side load accounting: the completed operation touched
+            // every member of its quorum once (matches the server-side
+            // definition, but works across any transport backend).
+            for server in op.access.quorum().iter() {
+                metrics.record_access(server);
+            }
+            metrics.record_operation(latency);
+        }
+        tally.latencies_ns.push(latency);
+        self.hist.record(latency);
+        tally.last_completion = Some(Instant::now());
     }
-    tally.latencies_ns.push(latency);
-    hist.record(latency);
-    tally.last_completion = Some(Instant::now());
 }
 
 /// One exponential inter-arrival gap at `rate` arrivals per second.
@@ -840,7 +699,6 @@ mod tests {
             offered_rate: rate,
             total_arrivals: arrivals,
             workers: 2,
-            virtual_clients: 64,
             write_fraction: 0.3,
             max_in_flight_per_worker: 256,
             op_deadline: Duration::from_secs(10),
@@ -860,6 +718,7 @@ mod tests {
             &service,
             service.responsive_set(),
             &quick(2_000.0, 400),
+            &OpenLoopSession::default(),
         );
         assert_eq!(
             report.scheduled,
@@ -896,6 +755,28 @@ mod tests {
     }
 
     #[test]
+    fn injection_keeps_to_the_planned_schedule_below_capacity() {
+        // Far below loopback capacity every arrival fires on its planned
+        // time, so realised and planned rates agree whatever the Poisson
+        // draw did to both; only a backpressured injector drifts behind.
+        let system = GridSystem::new(5, 1).unwrap();
+        let service = LoopbackService::spawn(&FaultPlan::none(25), 2, 44);
+        let report = run_open_loop(
+            &system,
+            1,
+            &service,
+            service.responsive_set(),
+            &quick(400.0, 200),
+            &OpenLoopSession::default(),
+        );
+        let lag = report.realized_offered_ops_per_sec / report.planned_offered_ops_per_sec;
+        assert!(
+            (0.95..=1.0 + 1e-9).contains(&lag),
+            "realised/planned = {lag}: {report:?}"
+        );
+    }
+
+    #[test]
     fn byzantine_fabrication_is_masked_under_open_loop() {
         let system = MGridSystem::new(5, 2).unwrap();
         let plan = FaultPlan::none(25)
@@ -914,6 +795,7 @@ mod tests {
             &service,
             service.responsive_set(),
             &quick(2_000.0, 300),
+            &OpenLoopSession::default(),
         );
         assert!(report.is_safe(), "b = 2 masks two fabricators: {report:?}");
         assert!(report.completed_reads > 0);
@@ -932,7 +814,14 @@ mod tests {
             total_arrivals: 2_000,
             ..quick(0.0, 0)
         };
-        let report = run_open_loop(&system, 1, &service, service.responsive_set(), &config);
+        let report = run_open_loop(
+            &system,
+            1,
+            &service,
+            service.responsive_set(),
+            &config,
+            &OpenLoopSession::default(),
+        );
         assert!(
             report.shed > 0,
             "cap of 1 must shed at this rate: {report:?}"
@@ -965,6 +854,7 @@ mod tests {
             &service,
             service.responsive_set(),
             &quick(1_000.0, 100),
+            &OpenLoopSession::default(),
         );
         assert_eq!(report.no_live_quorum, 100, "{report:?}");
         assert_eq!(report.completed(), 0);
@@ -976,14 +866,17 @@ mod tests {
         let plan = FaultPlan::none(25);
         let service = LoopbackService::spawn(&plan, 2, 48);
         let metrics = ServiceMetrics::new(25);
-        let report = run_open_loop_at_epoch(
+        let report = run_open_loop(
             &system,
             1,
             &service,
             service.responsive_set(),
             &quick(2_000.0, 200),
-            0,
-            Some(&metrics),
+            &OpenLoopSession {
+                epoch: 0,
+                metrics: Some(&metrics),
+                clock: None,
+            },
         );
         assert_eq!(report.completed(), 200);
         // Every completed op recorded one access per quorum member on the
@@ -1013,14 +906,17 @@ mod tests {
         // fan-out meets the gate and comes back stale.
         service.epoch_gate().finalize(3);
         let metrics = ServiceMetrics::new(25);
-        let report = run_open_loop_at_epoch(
+        let report = run_open_loop(
             &system,
             1,
             &service,
             service.responsive_set(),
             &quick(2_000.0, 200),
-            0,
-            Some(&metrics),
+            &OpenLoopSession {
+                epoch: 0,
+                metrics: Some(&metrics),
+                clock: None,
+            },
         );
         assert_eq!(report.completed(), 0);
         assert!(report.fenced > 0, "{report:?}");
@@ -1051,6 +947,7 @@ mod tests {
             &service,
             service.responsive_set(),
             &quick(0.0, 10),
+            &OpenLoopSession::default(),
         );
     }
 }

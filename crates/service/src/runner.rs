@@ -1,10 +1,10 @@
 //! Closed-loop concurrent load generation with online safety checking.
 //!
-//! [`run_service`] spins up a sharded [`LoopbackService`] from a [`FaultPlan`]
-//! and drives it with many concurrent closed-loop clients (each a thread
-//! running a [`ServiceClient`]), then folds per-client tallies and the
-//! service's lock-free metrics into a [`ServiceReport`] — the concurrent
-//! analogue of the simulator's `run_workload`.
+//! [`run_service`] drives a sharded [`LoopbackService`] with many concurrent
+//! closed-loop clients (each a thread running a [`ServiceClient`]), then
+//! folds per-client tallies and the service's lock-free metrics into a
+//! [`ServiceReport`] — the concurrent analogue of the simulator's
+//! `run_workload`.
 //!
 //! # Safety checking under concurrency
 //!
@@ -24,20 +24,21 @@
 //!   `b + 1` correct servers of any read quorum hold its last completed
 //!   write's exact entry and the freshest safe timestamp cannot be older.
 //!
-//! Both checks flag real protocol violations with certainty (no false
-//! positives), and the fabrication check is exactly the one a `> b` Byzantine
-//! coalition defeats — the negative tests rely on it.
+//! Both checks ([`TimestampOracle::check_read`]) flag real protocol
+//! violations with certainty (no false positives), and the fabrication check
+//! is exactly the one a `> b` Byzantine coalition defeats — the negative
+//! tests rely on it.
 
 use std::time::Instant;
 
 use bqs_core::quorum::QuorumSystem;
 use bqs_sim::client::ProtocolError;
-use bqs_sim::fault::FaultPlan;
-use bqs_sim::server::{Entry, Timestamp, Value};
+use bqs_sim::server::{Entry, Timestamp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::client::{ServiceClient, ServiceError};
+pub use crate::shard::authentic_value;
 use crate::shard::{LoopbackService, TimestampOracle};
 use crate::transport::Transport;
 
@@ -46,8 +47,6 @@ use crate::transport::Transport;
 pub struct ServiceConfig {
     /// Number of concurrent client threads.
     pub clients: usize,
-    /// Number of shard worker threads owning the replicas.
-    pub shards: usize,
     /// Closed-loop operations each client performs.
     pub ops_per_client: usize,
     /// Fraction of a *writer* client's operations that are writes (its first
@@ -66,7 +65,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             clients: 8,
-            shards: 4,
             ops_per_client: 500,
             write_fraction: 0.2,
             writers: 1,
@@ -132,17 +130,6 @@ impl ServiceReport {
     }
 }
 
-/// The deterministic value writers store for timestamp `ts`.
-///
-/// Reads verify `value == authentic_value(timestamp)`; a Byzantine server
-/// fabricating a pair (or equivocating randomly) cannot satisfy the relation
-/// except by collision, so any mismatching read that clears the `b + 1`
-/// support threshold is a genuine masking failure.
-#[must_use]
-pub fn authentic_value(ts: Timestamp) -> Value {
-    ts.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(23) ^ 0xD1B5_4A32_D192_ED03
-}
-
 /// Per-client tallies folded into the final report.
 #[derive(Debug, Default, Clone, Copy)]
 struct ClientTally {
@@ -155,8 +142,13 @@ struct ClientTally {
 }
 
 /// Runs a concurrent closed-loop workload of `config.clients` clients over
-/// `system` (masking level `b`) against a sharded loopback service with the
-/// failures described by `plan`.
+/// `system` (masking level `b`) against `service`, leaving the service alive
+/// afterwards so repeated trials can alternate [`LoopbackService::reset_plan`]
+/// and `run_service` on one shard pool (per-trial thread spin-up no longer
+/// dominates, which is what lets the availability validation in
+/// `bench_service` run at `n ≥ 100`). `config.seed` derives every per-client
+/// RNG; the service's metrics are zeroed at entry so the report covers
+/// exactly this run.
 ///
 /// Pass a [`bqs_core::strategic::StrategicQuorumSystem`] built from a
 /// [`bqs_core::load::CertifiedLoad`] to drive the service with the
@@ -165,49 +157,11 @@ struct ClientTally {
 ///
 /// # Panics
 ///
-/// Panics if the plan's universe differs from the system's, or the
-/// configuration is degenerate (zero clients/shards/operations, or more
-/// writers than clients).
-#[must_use]
-pub fn run_service<Q>(
-    system: &Q,
-    b: usize,
-    plan: &FaultPlan,
-    config: &ServiceConfig,
-) -> ServiceReport
-where
-    Q: QuorumSystem + ?Sized,
-{
-    assert_eq!(
-        plan.universe_size(),
-        system.universe_size(),
-        "fault plan and quorum system must cover the same universe"
-    );
-    assert!(config.shards > 0, "need at least one shard");
-    let service = LoopbackService::spawn(plan, config.shards, config.seed);
-    let report = run_service_on(&service, system, b, config);
-    drop(service); // join shard workers before returning
-    report
-}
-
-/// Runs the closed-loop workload against an **existing** service pool,
-/// leaving the pool alive afterwards. This is the amortised path for
-/// repeated-trial harnesses: spawn one [`LoopbackService`], then alternate
-/// [`LoopbackService::reset_plan`] and `run_service_on` — per-trial thread
-/// spin-up no longer dominates, which is what lets the availability
-/// validation in `bench_service` run at `n ≥ 100`.
-///
-/// `config.shards` is ignored (the pool's shard count was fixed at spawn);
-/// `config.seed` still derives every per-client RNG. The pool's metrics are
-/// zeroed at entry so the report covers exactly this run.
-///
-/// # Panics
-///
 /// Panics if the service's universe differs from the system's, or the
 /// configuration is degenerate (zero clients/operations, or more writers
 /// than clients).
 #[must_use]
-pub fn run_service_on<Q>(
+pub fn run_service<Q>(
     service: &LoopbackService,
     system: &Q,
     b: usize,
@@ -244,72 +198,57 @@ where
                 let mut client =
                     ServiceClient::new(system, service, service.responsive_set().clone(), b);
                 let is_writer = client_id < config.writers;
-                let mut last_completed_write_ts: Timestamp = 0;
+                // Read-your-writes floor: the last completed write, tracked
+                // only by the single writer (0 disables the check).
+                let mut ryw_floor: Timestamp = 0;
                 let mut tally = ClientTally::default();
                 for op in 0..config.ops_per_client {
                     let do_write =
                         is_writer && (op == 0 || rng.gen::<f64>() < config.write_fraction);
                     let op_started = Instant::now();
-                    if do_write {
+                    let outcome = if do_write {
                         let ts = clock.allocate();
                         let entry = Entry {
                             timestamp: ts,
                             value: authentic_value(ts),
                         };
-                        match client.write(entry, &mut rng) {
-                            Ok(_) => {
-                                tally.writes += 1;
-                                last_completed_write_ts = ts;
-                                service
-                                    .metrics()
-                                    .record_operation(op_started.elapsed().as_nanos() as u64);
+                        client.write(entry, &mut rng).map(|_| {
+                            tally.writes += 1;
+                            if single_writer {
+                                ryw_floor = ts;
                             }
-                            Err(ServiceError::Protocol(ProtocolError::NoLiveQuorum)) => {
-                                tally.unavailable += 1;
-                            }
-                            Err(ServiceError::Protocol(ProtocolError::NoSafeValue)) => {
-                                unreachable!("writes cannot lack safe values")
-                            }
-                            Err(ServiceError::TransportFailure) => tally.transport += 1,
-                            Err(ServiceError::EpochFenced { .. }) => {
-                                unreachable!("the closed-loop harness never reconfigures")
-                            }
-                        }
+                        })
                     } else {
-                        match client.read(&mut rng) {
-                            Ok(outcome) => {
-                                tally.reads += 1;
-                                service
-                                    .metrics()
-                                    .record_operation(op_started.elapsed().as_nanos() as u64);
-                                let e = outcome.entry;
-                                let fabricated = e.value != authentic_value(e.timestamp)
-                                    || e.timestamp > clock.latest();
-                                let stale_own_write = single_writer
-                                    && is_writer
-                                    && e.timestamp < last_completed_write_ts;
-                                if fabricated || stale_own_write {
-                                    tally.violations += 1;
-                                }
+                        client.read(&mut rng).map(|read| {
+                            tally.reads += 1;
+                            if clock.check_read(&read.entry, ryw_floor).violated() {
+                                tally.violations += 1;
                             }
-                            Err(ServiceError::Protocol(ProtocolError::NoLiveQuorum)) => {
-                                tally.unavailable += 1;
-                            }
-                            Err(ServiceError::Protocol(ProtocolError::NoSafeValue)) => {
-                                // A full quorum rendezvous happened; only the
-                                // safe set was empty. It is a completed round
-                                // trip for throughput/latency purposes.
-                                tally.inconclusive += 1;
-                                service
-                                    .metrics()
-                                    .record_operation(op_started.elapsed().as_nanos() as u64);
-                            }
-                            Err(ServiceError::TransportFailure) => tally.transport += 1,
-                            Err(ServiceError::EpochFenced { .. }) => {
-                                unreachable!("the closed-loop harness never reconfigures")
-                            }
+                        })
+                    };
+                    match outcome {
+                        Ok(()) => {}
+                        // A full quorum rendezvous happened; only the safe
+                        // set was empty. It is a completed round trip for
+                        // throughput/latency purposes.
+                        Err(ServiceError::Protocol(ProtocolError::NoSafeValue)) => {
+                            tally.inconclusive += 1;
+                        }
+                        Err(ServiceError::Protocol(ProtocolError::NoLiveQuorum)) => {
+                            tally.unavailable += 1;
+                            continue;
+                        }
+                        Err(ServiceError::TransportFailure) => {
+                            tally.transport += 1;
+                            continue;
+                        }
+                        Err(ServiceError::EpochFenced { .. }) => {
+                            unreachable!("the closed-loop harness never reconfigures")
                         }
                     }
+                    service
+                        .metrics()
+                        .record_operation(op_started.elapsed().as_nanos() as u64);
                 }
                 tally
             }));
@@ -368,18 +307,18 @@ mod tests {
     use bqs_constructions::prelude::*;
     use bqs_core::load::optimal_load_oracle;
     use bqs_core::strategic::StrategicQuorumSystem;
+    use bqs_sim::fault::FaultPlan;
     use bqs_sim::server::ByzantineStrategy;
 
     #[test]
     fn failure_free_concurrent_run_is_safe_and_available() {
         let sys = MGridSystem::new(5, 2).unwrap();
         let report = run_service(
+            &LoopbackService::spawn(&FaultPlan::none(25), 3, 42),
             &sys,
             2,
-            &FaultPlan::none(25),
             &ServiceConfig {
                 clients: 6,
-                shards: 3,
                 ops_per_client: 150,
                 write_fraction: 0.3,
                 writers: 1,
@@ -410,13 +349,13 @@ mod tests {
         let strategic = StrategicQuorumSystem::from_certified(sys, &certified).unwrap();
         let config = ServiceConfig {
             clients: 32,
-            shards: 4,
             ops_per_client: 150,
             write_fraction: 0.3,
             writers: 1,
             seed: 7,
         };
-        let report = run_service(&strategic, 2, &FaultPlan::none(n), &config);
+        let service = LoopbackService::spawn(&FaultPlan::none(n), 4, config.seed);
+        let report = run_service(&service, &strategic, 2, &config);
         assert!(report.is_safe(), "{report:?}");
         assert_eq!(report.unavailable_operations, 0);
         let l = certified.load;
@@ -440,12 +379,11 @@ mod tests {
             )
             .with_byzantine(5, ByzantineStrategy::Equivocate);
         let report = run_service(
+            &LoopbackService::spawn(&plan, 3, 11),
             &sys,
             2,
-            &plan,
             &ServiceConfig {
                 clients: 8,
-                shards: 3,
                 ops_per_client: 120,
                 write_fraction: 0.25,
                 writers: 1,
@@ -468,12 +406,11 @@ mod tests {
             .with_byzantine(1, ByzantineStrategy::FabricateHighTimestamp { value: 666 })
             .with_byzantine(2, ByzantineStrategy::FabricateHighTimestamp { value: 666 });
         let report = run_service(
+            &LoopbackService::spawn(&plan, 2, 13),
             &sys,
             1,
-            &plan,
             &ServiceConfig {
                 clients: 6,
-                shards: 2,
                 ops_per_client: 80,
                 write_fraction: 0.2,
                 writers: 1,
@@ -491,12 +428,11 @@ mod tests {
         let sys = ThresholdSystem::minimal_masking(1).unwrap(); // 4-of-5, tolerates 1 crash
         let plan = FaultPlan::none(5).with_crashed(0).with_crashed(1);
         let report = run_service(
+            &LoopbackService::spawn(&plan, 2, 17),
             &sys,
             1,
-            &plan,
             &ServiceConfig {
                 clients: 4,
-                shards: 2,
                 ops_per_client: 25,
                 write_fraction: 0.5,
                 writers: 1,
@@ -515,12 +451,11 @@ mod tests {
     fn multi_writer_runs_disable_ryw_but_keep_authenticity() {
         let sys = ThresholdSystem::minimal_masking(2).unwrap();
         let report = run_service(
+            &LoopbackService::spawn(&FaultPlan::none(9), 2, 23),
             &sys,
             2,
-            &FaultPlan::none(9),
             &ServiceConfig {
                 clients: 6,
-                shards: 2,
                 ops_per_client: 100,
                 write_fraction: 0.5,
                 writers: 3,
@@ -538,7 +473,6 @@ mod tests {
         let sys = ThresholdSystem::minimal_masking(1).unwrap(); // 4-of-5
         let config = ServiceConfig {
             clients: 3,
-            shards: 2,
             ops_per_client: 30,
             write_fraction: 0.5,
             writers: 1,
@@ -546,19 +480,19 @@ mod tests {
         };
         let mut service = LoopbackService::spawn(&FaultPlan::none(5), 2, 29);
         // Trial 1: healthy — fully available.
-        let r1 = run_service_on(&service, &sys, 1, &config);
+        let r1 = run_service(&service, &sys, 1, &config);
         assert_eq!(r1.unavailable_operations, 0);
         assert!(r1.is_safe());
         // Trial 2: two crashes exceed the resilience — fully unavailable,
         // and the metrics reset means no load leaks over from trial 1.
         service.reset_plan(&FaultPlan::none(5).with_crashed(0).with_crashed(1), 31);
-        let r2 = run_service_on(&service, &sys, 1, &config);
+        let r2 = run_service(&service, &sys, 1, &config);
         assert_eq!(r2.unavailable_operations, r2.operations);
         assert_eq!(r2.load_operations, 0);
         assert!(r2.access_counts.iter().all(|&c| c == 0));
         // Trial 3: healthy again — the crash plan does not stick.
         service.reset_plan(&FaultPlan::none(5), 37);
-        let r3 = run_service_on(&service, &sys, 1, &config);
+        let r3 = run_service(&service, &sys, 1, &config);
         assert_eq!(r3.unavailable_operations, 0);
         assert!(r3.is_safe());
     }

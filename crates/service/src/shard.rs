@@ -46,7 +46,7 @@ use std::thread::JoinHandle;
 use bqs_core::bitset::ServerSet;
 use bqs_sim::epoch::EpochGate;
 use bqs_sim::fault::FaultPlan;
-use bqs_sim::server::{Behavior, Replica};
+use bqs_sim::server::{Behavior, Entry, Replica, Timestamp, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -399,6 +399,17 @@ fn shard_worker(
     }
 }
 
+/// The deterministic value writers store for timestamp `ts`.
+///
+/// Reads verify `value == authentic_value(timestamp)`; a Byzantine server
+/// fabricating a pair (or equivocating randomly) cannot satisfy the relation
+/// except by collision, so any mismatching read that clears the `b + 1`
+/// support threshold is a genuine masking failure.
+#[must_use]
+pub fn authentic_value(ts: Timestamp) -> Value {
+    ts.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(23) ^ 0xD1B5_4A32_D192_ED03
+}
+
 /// A monotone timestamp oracle shared by every writer of a service run, so
 /// concurrent writes are totally ordered without coordination beyond one
 /// atomic increment.
@@ -425,6 +436,37 @@ impl TimestampOracle {
     #[must_use]
     pub fn latest(&self) -> u64 {
         self.next.load(Ordering::Relaxed)
+    }
+
+    /// Checks a completed read against this writers' clock. Writers store
+    /// [`authentic_value`] of each allocated timestamp, so a pair that fails
+    /// that relation, or carries a timestamp never allocated, was fabricated.
+    /// `own_last_write` is the reader's own last completed write; pass 0 where
+    /// read-your-writes does not apply (multi-writer runs, pure readers).
+    #[must_use]
+    pub fn check_read(&self, entry: &Entry, own_last_write: Timestamp) -> ReadCheck {
+        ReadCheck {
+            fabricated: entry.value != authentic_value(entry.timestamp)
+                || entry.timestamp > self.latest(),
+            stale_own_write: entry.timestamp < own_last_write,
+        }
+    }
+}
+
+/// The verdict of [`TimestampOracle::check_read`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReadCheck {
+    /// The read returned a pair no writer produced.
+    pub fabricated: bool,
+    /// The read returned an entry older than the reader's own last write.
+    pub stale_own_write: bool,
+}
+
+impl ReadCheck {
+    /// True when the read broke either invariant.
+    #[must_use]
+    pub fn violated(self) -> bool {
+        self.fabricated || self.stale_own_write
     }
 }
 
@@ -680,5 +722,27 @@ mod tests {
         assert_eq!(oracle.allocate(), 1);
         assert_eq!(oracle.allocate(), 2);
         assert_eq!(oracle.latest(), 2);
+    }
+
+    #[test]
+    fn read_check_flags_fabrication_and_missed_own_writes() {
+        let oracle = TimestampOracle::new();
+        let (t1, t2) = (oracle.allocate(), oracle.allocate());
+        let written = |timestamp| Entry {
+            timestamp,
+            value: authentic_value(timestamp),
+        };
+        assert!(!oracle.check_read(&written(t2), t2).violated());
+        // Older than the reader's own last write; fine for anyone else.
+        let behind = oracle.check_read(&written(t1), t2);
+        assert!(behind.stale_own_write && !behind.fabricated);
+        assert!(!oracle.check_read(&written(t1), 0).violated());
+        // A wrong value, or a timestamp never allocated, is a fabrication.
+        let forged = Entry {
+            timestamp: t2,
+            value: authentic_value(t2) ^ 1,
+        };
+        assert!(oracle.check_read(&forged, 0).fabricated);
+        assert!(oracle.check_read(&written(t2 + 1), 0).fabricated);
     }
 }

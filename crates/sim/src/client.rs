@@ -77,8 +77,7 @@ pub struct WriteOutcome {
 /// sporadic failures, and falling back to deterministic live-quorum discovery
 /// only when sampling repeatedly fails.
 ///
-/// This is the shared quorum-selection policy of the single-threaded
-/// simulator's [`Client`] and of the concurrent `bqs-service` clients.
+/// This is the quorum-selection policy every [`QuorumAccess`] starts with.
 ///
 /// # Errors
 ///
@@ -110,9 +109,9 @@ where
 /// the one with the highest timestamp, together with the full safe set sorted
 /// for diagnostics.
 ///
-/// Shared by the simulator's [`Client::read`] and the concurrent
-/// `bqs-service` clients — the safety argument (any pair fabricated by at
-/// most `b` Byzantine servers has at most `b` supporters) lives here once.
+/// Every read resolves through here via [`QuorumAccess::finish`] — the
+/// safety argument (any pair fabricated by at most `b` Byzantine servers has
+/// at most `b` supporters) lives here once.
 ///
 /// # Errors
 ///
@@ -145,6 +144,198 @@ pub fn resolve_read(
     Ok((best, safe_entries))
 }
 
+/// Whether a [`QuorumAccess`] reads the register or writes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AccessKind {
+    /// A read: only a reply carrying an entry answers it.
+    Read,
+    /// A write: every acknowledgement answers it, an in-band `None` included.
+    Write,
+}
+
+/// What one reply meant to a [`QuorumAccess`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReplyVerdict {
+    /// The reply adds nothing: its server already replied, is outside the
+    /// quorum, or served it under another epoch.
+    Ignored,
+    /// The server answered the access.
+    Answer,
+    /// The server replied without a protocol answer (an in-band `None` to a
+    /// read): failure-detector evidence against it.
+    NoAnswer,
+    /// The server fenced the access: its epoch is retired.
+    /// [`QuorumAccess::fenced`] holds the newest epoch any fencing reply
+    /// reported.
+    Fenced,
+}
+
+/// One quorum access of the masking protocol, as a state machine with no I/O,
+/// threads or clocks. The driver sends the operation to [`QuorumAccess::quorum`],
+/// feeds every reply to [`QuorumAccess::on_reply`], and acts on the verdict;
+/// timing, metrics and retries stay with the driver.
+///
+/// The rules the masking argument rests on live here once: a server is heard
+/// at most once (a duplicating network cannot lend one Byzantine server
+/// `b + 1` support by echo), a served reply counts only under the access's own
+/// epoch (no quorum mixes replies gathered under two strategies), and a stale
+/// reply fences the access in-band.
+#[derive(Debug, Clone)]
+pub struct QuorumAccess {
+    kind: AccessKind,
+    epoch: u64,
+    quorum: ServerSet,
+    replies: Vec<(usize, Option<Entry>)>,
+    fenced_at: Option<u64>,
+}
+
+impl QuorumAccess {
+    /// Starts an access stamped with `epoch`, choosing its quorum through
+    /// [`choose_access_quorum`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProtocolError::NoLiveQuorum`] when no quorum consists
+    /// entirely of responsive servers.
+    pub fn start<Q, R>(
+        system: &Q,
+        responsive: &ServerSet,
+        rng: &mut R,
+        kind: AccessKind,
+        epoch: u64,
+    ) -> Result<Self, ProtocolError>
+    where
+        Q: QuorumSystem + ?Sized,
+        R: Rng,
+    {
+        let quorum = choose_access_quorum(system, responsive, rng)?;
+        Ok(QuorumAccess {
+            kind,
+            epoch,
+            replies: Vec::with_capacity(quorum.len()),
+            quorum,
+            fenced_at: None,
+        })
+    }
+
+    /// Whether this access reads or writes.
+    #[must_use]
+    pub fn kind(&self) -> AccessKind {
+        self.kind
+    }
+
+    /// The quorum the operation goes to.
+    #[must_use]
+    pub fn quorum(&self) -> &ServerSet {
+        &self.quorum
+    }
+
+    /// Consumes the access, returning its quorum.
+    #[must_use]
+    pub fn into_quorum(self) -> ServerSet {
+        self.quorum
+    }
+
+    /// Applies one reply from `server`, served under `epoch` (`stale` when
+    /// the server's epoch gate refused it), and says what it meant.
+    pub fn on_reply(
+        &mut self,
+        server: usize,
+        entry: Option<Entry>,
+        epoch: u64,
+        stale: bool,
+    ) -> ReplyVerdict {
+        if stale {
+            self.fenced_at = Some(self.fenced_at.map_or(epoch, |e| e.max(epoch)));
+            return ReplyVerdict::Fenced;
+        }
+        if epoch != self.epoch
+            || !self.quorum.contains(server)
+            || self.replies.iter().any(|&(s, _)| s == server)
+        {
+            return ReplyVerdict::Ignored;
+        }
+        self.replies.push((server, entry));
+        if self.kind == AccessKind::Write || entry.is_some() {
+            ReplyVerdict::Answer
+        } else {
+            ReplyVerdict::NoAnswer
+        }
+    }
+
+    /// The newest epoch a fencing reply reported, if any server fenced.
+    #[must_use]
+    pub fn fenced(&self) -> Option<u64> {
+        self.fenced_at
+    }
+
+    /// True once every quorum member has replied.
+    #[must_use]
+    pub fn is_complete(&self) -> bool {
+        self.replies.len() == self.quorum.len()
+    }
+
+    /// The quorum members not yet heard from: the servers to accuse when the
+    /// driver's deadline passes.
+    pub fn missing(&self) -> impl Iterator<Item = usize> + '_ {
+        self.quorum
+            .iter()
+            .filter(|&server| !self.replies.iter().any(|&(s, _)| s == server))
+    }
+
+    /// Resolves a read from the replies so far through [`resolve_read`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProtocolError::NoSafeValue`] when no pair had `b + 1`
+    /// supporters.
+    pub fn finish(&self, b: usize) -> Result<(Entry, Vec<Entry>), ProtocolError> {
+        resolve_read(&self.replies, b)
+    }
+}
+
+/// Writes `entry` to a quorum of `cluster` chosen against its failure
+/// detector, returning the quorum.
+pub(crate) fn write_to_cluster<Q, R>(
+    system: &Q,
+    cluster: &mut Cluster,
+    entry: Entry,
+    rng: &mut R,
+) -> Result<ServerSet, ProtocolError>
+where
+    Q: QuorumSystem + ?Sized,
+    R: Rng,
+{
+    let access = QuorumAccess::start(system, &cluster.responsive_set(), rng, AccessKind::Write, 0)?;
+    cluster.deliver_write(access.quorum(), entry);
+    Ok(access.into_quorum())
+}
+
+/// Reads a quorum of `cluster` and resolves the reply set by the masking rule.
+pub(crate) fn read_from_cluster<Q, R>(
+    system: &Q,
+    b: usize,
+    cluster: &mut Cluster,
+    rng: &mut R,
+) -> Result<ReadOutcome, ProtocolError>
+where
+    Q: QuorumSystem + ?Sized,
+    R: Rng,
+{
+    let mut access =
+        QuorumAccess::start(system, &cluster.responsive_set(), rng, AccessKind::Read, 0)?;
+    for (server, entry) in cluster.deliver_read(access.quorum(), rng) {
+        access.on_reply(server, entry, 0, false);
+    }
+    let (best, safe_entries) = access.finish(b)?;
+    Ok(ReadOutcome {
+        value: best.value,
+        timestamp: best.timestamp,
+        quorum: access.into_quorum(),
+        safe_entries,
+    })
+}
+
 /// A protocol client bound to a quorum system and a masking level `b`.
 #[derive(Debug, Clone)]
 pub struct Client<Q> {
@@ -164,28 +355,6 @@ impl<Q: QuorumSystem> Client<Q> {
         }
     }
 
-    /// The quorum system the client uses.
-    #[must_use]
-    pub fn system(&self) -> &Q {
-        &self.system
-    }
-
-    /// The masking level `b` the client assumes.
-    #[must_use]
-    pub fn masking_b(&self) -> usize {
-        self.b
-    }
-
-    /// Chooses an access quorum via the shared [`choose_access_quorum`] policy
-    /// against the cluster's failure-detector view.
-    fn choose_quorum<R: Rng>(
-        &self,
-        cluster: &Cluster,
-        rng: &mut R,
-    ) -> Result<ServerSet, ProtocolError> {
-        choose_access_quorum(&self.system, &cluster.responsive_set(), rng)
-    }
-
     /// Writes `value` to the register.
     ///
     /// # Errors
@@ -198,10 +367,9 @@ impl<Q: QuorumSystem> Client<Q> {
         value: Value,
         rng: &mut R,
     ) -> Result<WriteOutcome, ProtocolError> {
-        let quorum = self.choose_quorum(cluster, rng)?;
         let timestamp = self.next_timestamp;
+        let quorum = write_to_cluster(&self.system, cluster, Entry { timestamp, value }, rng)?;
         self.next_timestamp += 1;
-        cluster.deliver_write(&quorum, Entry { timestamp, value });
         Ok(WriteOutcome { timestamp, quorum })
     }
 
@@ -217,15 +385,7 @@ impl<Q: QuorumSystem> Client<Q> {
         cluster: &mut Cluster,
         rng: &mut R,
     ) -> Result<ReadOutcome, ProtocolError> {
-        let quorum = self.choose_quorum(cluster, rng)?;
-        let replies = cluster.deliver_read(&quorum, rng);
-        let (best, safe_entries) = resolve_read(&replies, self.b)?;
-        Ok(ReadOutcome {
-            value: best.value,
-            timestamp: best.timestamp,
-            quorum,
-            safe_entries,
-        })
+        read_from_cluster(&self.system, self.b, cluster, rng)
     }
 }
 
@@ -306,6 +466,111 @@ mod tests {
             client.write(&mut cluster, 5, &mut rng).unwrap_err(),
             ProtocolError::NoLiveQuorum
         );
+    }
+
+    fn entry(timestamp: Timestamp) -> Entry {
+        Entry {
+            timestamp,
+            value: timestamp * 10,
+        }
+    }
+
+    /// An access over Thresh(4-of-5) at epoch 3, and its quorum members.
+    fn access_of(kind: AccessKind) -> (QuorumAccess, Vec<usize>) {
+        let system = ThresholdSystem::minimal_masking(1).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        let access = QuorumAccess::start(&system, &ServerSet::full(5), &mut rng, kind, 3).unwrap();
+        let members = access.quorum().to_vec();
+        (access, members)
+    }
+
+    #[test]
+    fn access_counts_a_duplicated_reply_once() {
+        let (mut access, q) = access_of(AccessKind::Read);
+        assert_eq!(
+            access.on_reply(q[0], Some(entry(1)), 3, false),
+            ReplyVerdict::Answer
+        );
+        assert_eq!(
+            access.on_reply(q[0], Some(entry(1)), 3, false),
+            ReplyVerdict::Ignored
+        );
+        // With b = 1 a single server, however often echoed, is never safe.
+        assert_eq!(access.finish(1).unwrap_err(), ProtocolError::NoSafeValue);
+        assert_eq!(
+            access.on_reply(q[1], Some(entry(1)), 3, false),
+            ReplyVerdict::Answer
+        );
+        assert_eq!(access.finish(1).unwrap().0, entry(1));
+    }
+
+    #[test]
+    fn access_ignores_served_replies_from_another_epoch() {
+        let (mut access, q) = access_of(AccessKind::Read);
+        assert_eq!(
+            access.on_reply(q[0], Some(entry(1)), 2, false),
+            ReplyVerdict::Ignored
+        );
+        assert_eq!(
+            access.on_reply(q[1], Some(entry(1)), 4, false),
+            ReplyVerdict::Ignored
+        );
+        assert_eq!(
+            access.missing().count(),
+            q.len(),
+            "no epoch-foreign support"
+        );
+        assert_eq!(access.fenced(), None);
+    }
+
+    #[test]
+    fn access_ignores_servers_outside_its_quorum() {
+        let (mut access, q) = access_of(AccessKind::Read);
+        let outsider = (0..5).find(|s| !q.contains(s)).unwrap();
+        assert_eq!(
+            access.on_reply(outsider, Some(entry(1)), 3, false),
+            ReplyVerdict::Ignored
+        );
+        assert!(!access.is_complete());
+    }
+
+    #[test]
+    fn stale_replies_fence_and_report_the_newest_epoch() {
+        let (mut access, q) = access_of(AccessKind::Read);
+        assert_eq!(access.on_reply(q[0], None, 5, true), ReplyVerdict::Fenced);
+        assert_eq!(access.fenced(), Some(5));
+        assert_eq!(access.on_reply(q[1], None, 7, true), ReplyVerdict::Fenced);
+        assert_eq!(access.fenced(), Some(7));
+        assert_eq!(access.on_reply(q[2], None, 6, true), ReplyVerdict::Fenced);
+        assert_eq!(access.fenced(), Some(7));
+        assert_eq!(access.missing().count(), q.len(), "fencing adds no support");
+    }
+
+    #[test]
+    fn none_is_a_no_answer_to_a_read_and_an_answer_to_a_write() {
+        let (mut read, q) = access_of(AccessKind::Read);
+        assert_eq!(read.on_reply(q[0], None, 3, false), ReplyVerdict::NoAnswer);
+        assert_eq!(
+            read.on_reply(q[1], Some(entry(1)), 3, false),
+            ReplyVerdict::Answer
+        );
+        let (mut write, q) = access_of(AccessKind::Write);
+        assert_eq!(write.kind(), AccessKind::Write);
+        assert_eq!(write.on_reply(q[0], None, 3, false), ReplyVerdict::Answer);
+    }
+
+    #[test]
+    fn missing_lists_exactly_the_silent_members() {
+        let (mut access, q) = access_of(AccessKind::Read);
+        assert_eq!(q.len(), 4);
+        access.on_reply(q[0], Some(entry(1)), 3, false);
+        access.on_reply(q[2], None, 3, false);
+        assert_eq!(access.missing().collect::<Vec<_>>(), vec![q[1], q[3]]);
+        access.on_reply(q[1], Some(entry(1)), 3, false);
+        access.on_reply(q[3], Some(entry(1)), 3, false);
+        assert!(access.is_complete());
+        assert_eq!(access.missing().count(), 0);
+        assert_eq!(access.into_quorum().to_vec(), q);
     }
 
     #[test]

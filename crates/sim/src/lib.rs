@@ -13,7 +13,8 @@
 //!   plus arbitrarily many crashes);
 //! * [`cluster`] — message routing and per-server access accounting;
 //! * [`client`] — the masking read/write protocol over any
-//!   [`bqs_core::quorum::QuorumSystem`];
+//!   [`bqs_core::quorum::QuorumSystem`], built on [`client::QuorumAccess`], the
+//!   sans-IO access core every client in the workspace drives;
 //! * [`runner`] — workload driver with safety checking and empirical-load
 //!   measurement.
 //!
@@ -46,7 +47,8 @@ pub mod runner;
 pub mod server;
 
 pub use client::{
-    choose_access_quorum, resolve_read, Client, ProtocolError, ReadOutcome, WriteOutcome,
+    choose_access_quorum, resolve_read, AccessKind, Client, ProtocolError, QuorumAccess,
+    ReadOutcome, ReplyVerdict, WriteOutcome,
 };
 pub use cluster::Cluster;
 pub use epoch::EpochGate;
@@ -58,7 +60,8 @@ pub use server::{mix64, Behavior, ByzantineStrategy, Entry, Replica, Timestamp, 
 /// Convenient glob import for examples and benches.
 pub mod prelude {
     pub use crate::client::{
-        choose_access_quorum, resolve_read, Client, ProtocolError, ReadOutcome, WriteOutcome,
+        choose_access_quorum, resolve_read, AccessKind, Client, ProtocolError, QuorumAccess,
+        ReadOutcome, ReplyVerdict, WriteOutcome,
     };
     pub use crate::cluster::Cluster;
     pub use crate::epoch::EpochGate;

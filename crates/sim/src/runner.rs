@@ -34,7 +34,7 @@ impl Default for WorkloadConfig {
 }
 
 /// The result of a simulated workload.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimReport {
     /// Number of write operations that completed.
     pub writes_completed: usize,
@@ -80,18 +80,11 @@ where
 {
     let mut cluster = Cluster::new(plan);
     let mut client = Client::new(system, b);
-    let mut report = SimReport {
-        writes_completed: 0,
-        reads_completed: 0,
-        unavailable_operations: 0,
-        safety_violations: 0,
-        inconclusive_reads: 0,
-        empirical_loads: Vec::new(),
-    };
+    let mut report = SimReport::default();
     let mut last_written: Option<u64> = None;
     let mut next_value: u64 = 1;
 
-    for op in 0..config.operations {
+    for _ in 0..config.operations {
         let do_write = last_written.is_none() || rng.gen::<f64>() < config.write_fraction;
         if do_write {
             match client.write(&mut cluster, next_value, rng) {
@@ -115,7 +108,6 @@ where
                 Err(ProtocolError::NoSafeValue) => report.inconclusive_reads += 1,
             }
         }
-        let _ = op;
     }
 
     report.empirical_loads = cluster.empirical_loads(config.operations as u64);

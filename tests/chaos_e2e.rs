@@ -12,6 +12,7 @@ use byzantine_quorums::chaos::prelude::*;
 use byzantine_quorums::constructions::prelude::*;
 use byzantine_quorums::core::quorum::QuorumSystem;
 use byzantine_quorums::net::prelude::*;
+use byzantine_quorums::service::metrics::ServiceMetrics;
 use byzantine_quorums::service::transport::Transport;
 
 enum Backend {
@@ -66,6 +67,7 @@ fn run_socket(
         server.responsive_set().clone(),
         &chaos,
         config,
+        &Arc::new(ServiceMetrics::new(n)),
     )
 }
 
