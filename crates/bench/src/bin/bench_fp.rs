@@ -29,7 +29,7 @@
 //! lane-widening PR, each with its own timings and acceptance gates:
 //!
 //! * `a_lane_enumeration`: the batched (`u64x4`) enumeration loop plus the
-//!   structure-specialised range kernel for the line-quorum grids —
+//!   structure-specialised profile kernel for the line-quorum grids —
 //!   bit-parity asserted against the historical scalar loop, the n = 25 Grid
 //!   timed against both that loop and the committed v3 engine time
 //!   (gate: ≥ 2× over v3);
@@ -323,9 +323,9 @@ fn main() {
         (cores > 1).then(|| (serial_seconds, serial_seconds / batched_seconds.max(1e-12)));
     let sweep_points = sweep_systems.len() * sweep_ps.len();
 
-    // ---- Front (a): lane-widened enumeration + grid range kernels. ----
+    // ---- Front (a): lane-widened enumeration + grid profile kernels. ----
     // The parity gate runs in every mode: the engine's enumeration — the
-    // structure-specialised range kernel for the line-quorum grids, the
+    // structure-specialised profile kernel for the line-quorum grids, the
     // 4-lane batched loop for everything else — must be *bit-identical* to
     // the historical scalar loop.
     let mut front_failures: Vec<String> = Vec::new();
@@ -333,7 +333,7 @@ fn main() {
         AVAILABILITY_LANES, 4,
         "enumeration lane width changed; re-baseline the front (a) gates"
     );
-    eprintln!("front (a): enumeration parity gates (range kernel and lane loop)...");
+    eprintln!("front (a): enumeration parity gates (profile kernel and lane loop)...");
     let lane_parity_seconds = {
         let t = std::time::Instant::now();
         let g16 = GridSystem::new(4, 1).unwrap();

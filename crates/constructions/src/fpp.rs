@@ -80,15 +80,9 @@ impl FppSystem {
             .line_free_profile
             .get_or_init(|| self.plane.line_free_profile())
             .as_ref()?;
-        let p = p.clamp(0.0, 1.0);
-        let q = 1.0 - p;
-        let n = self.universe_size() as i32;
-        let fp: f64 = profile
-            .iter()
-            .enumerate()
-            .map(|(m, &count)| count as f64 * q.powi(m as i32) * p.powi(n - m as i32))
-            .sum();
-        Some(fp.clamp(0.0, 1.0))
+        // Line-free survivor sets are exactly the unavailable ones, so the
+        // profile is the system's unavailability profile.
+        Some(bqs_core::eval::profile_mass(profile, p))
     }
 
     /// The plane order `q`.

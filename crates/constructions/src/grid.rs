@@ -170,12 +170,12 @@ impl QuorumSystem for GridSystem {
         std::array::from_fn(|i| counts[i].0 > 2 * self.b && counts[i].1 >= 1)
     }
 
-    fn unavailable_mass_u64_range(&self, weights: &[f64], start: u64, end: u64) -> Option<f64> {
-        // Exact-enumeration fast path: build the packed line tables once for
-        // the whole range (≲ 64 KiB, microseconds) and let the table kernel
-        // stream the masks — bit-identical to the lane loop it replaces.
+    fn unavailability_profile(&self) -> Option<Vec<u64>> {
+        // Exact-enumeration fast path: build the packed line tables once
+        // (≲ 64 KiB, microseconds) and let the table kernel count the
+        // unavailable masks.
         let tables = self.grid.line_count_tables();
-        Some(tables.unavailable_mass_range(2 * self.b + 1, 1, weights, start, end))
+        Some(tables.unavailable_profile(2 * self.b + 1, 1))
     }
 
     fn crash_probability_closed_form(&self, p: f64) -> Option<f64> {

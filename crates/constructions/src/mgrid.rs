@@ -224,10 +224,10 @@ impl QuorumSystem for MGridSystem {
         std::array::from_fn(|i| counts[i].0 >= self.lines && counts[i].1 >= self.lines)
     }
 
-    fn unavailable_mass_u64_range(&self, weights: &[f64], start: u64, end: u64) -> Option<f64> {
-        // Exact-enumeration fast path — see `GridSystem::unavailable_mass_u64_range`.
+    fn unavailability_profile(&self) -> Option<Vec<u64>> {
+        // Exact-enumeration fast path — see `GridSystem::unavailability_profile`.
         let tables = self.grid.line_count_tables();
-        Some(tables.unavailable_mass_range(self.lines, self.lines, weights, start, end))
+        Some(tables.unavailable_profile(self.lines, self.lines))
     }
 
     fn crash_probability_closed_form(&self, p: f64) -> Option<f64> {

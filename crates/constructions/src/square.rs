@@ -220,11 +220,11 @@ impl SquareGrid {
 /// `u16` entry holds the chunk's fully-alive row count (high byte) and its
 /// column AND-fold (low byte, valid for `side ≤ 8` — exactly the `n ≤ 64`
 /// range of the word-level availability API). The payoff comes from
-/// [`LineCountTables::unavailable_mass_range`], which runs the whole
-/// exact-enumeration inner loop against the tables: the low chunk's index
-/// walks sequentially so the probes stream through L1, the build cost
-/// (≲ 64 KiB of tables) is paid once per range, and on the n = 25 Grid the
-/// sweep runs ~4× faster than the per-batch row pass it replaces.
+/// [`LineCountTables::unavailable_profile`], which counts the unavailable
+/// masks of the whole exact enumeration against the tables: in the
+/// two-chunk layout (`side` 4 and 5) it counts classes of equal
+/// low-chunk entries instead of single masks, so the `n = 25` grids cost
+/// one pass over each table rather than `2^25` probes.
 #[derive(Debug, Clone)]
 pub struct LineCountTables {
     side: usize,
@@ -301,71 +301,86 @@ impl LineCountTables {
         (rows as usize, (fold & 0xff).count_ones() as usize)
     }
 
-    /// Sums `weights[popcount(m)]` over every mask `m` in `start..end` with
-    /// fewer than `min_rows` fully-alive rows or fewer than `min_cols`
-    /// fully-alive columns — the entire inner loop of exact `F_p`
-    /// enumeration for the line-quorum grids, in the shape
-    /// [`bqs_core::quorum::QuorumSystem::unavailable_mass_u64_range`]
-    /// requires: a single `f64` accumulation chain in ascending mask order,
-    /// bit-identical to testing each mask through the scalar availability
-    /// path.
+    /// The unavailability profile of the line-quorum grids: entry `k`
+    /// counts the masks over all `2^(side²)` with `k` live servers and fewer
+    /// than `min_rows` fully-alive rows or fewer than `min_cols` fully-alive
+    /// columns — in the shape
+    /// [`bqs_core::quorum::QuorumSystem::unavailability_profile`] requires:
+    /// exactly the counts a per-mask test would give.
     ///
-    /// The common one- and two-chunk layouts (`side ≤ 5`, every universe the
-    /// engine actually enumerates) get dedicated loops: the two-chunk loop
-    /// probes the high table once per 2^`lo_bits` masks and streams the low
-    /// table sequentially, so each mask costs one L1 load, one popcount and
-    /// a compare.
+    /// In the two-chunk layout (`side` 4 and 5) a mask is a high-chunk value
+    /// `h` over a low-chunk value `l`, and whether it is unavailable depends
+    /// only on the two table entries. So the low values are grouped into
+    /// classes of equal entry, each with a histogram over `popcount(l)`;
+    /// for each distinct high entry the histograms of the classes that make
+    /// the grid unavailable are summed once (memoized); and each `h` adds
+    /// that sum, shifted by `popcount(h)`, to the profile. The one-chunk
+    /// layout and the layouts of three or more chunks are counted mask by
+    /// mask.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `side == 8`: its `2^64` masks do not fit a `u64` range.
     #[must_use]
-    pub fn unavailable_mass_range(
-        &self,
-        min_rows: usize,
-        min_cols: usize,
-        weights: &[f64],
-        start: u64,
-        end: u64,
-    ) -> f64 {
-        let mut acc = 0.0;
-        match self.chunks.as_slice() {
-            [only] => {
-                for m in start..end {
-                    let e = only.table[((m >> only.shift) & only.index_mask) as usize];
-                    if ((e >> 8) as usize) < min_rows
-                        || (((e & 0xff).count_ones()) as usize) < min_cols
-                    {
-                        acc += weights[m.count_ones() as usize];
-                    }
+    pub fn unavailable_profile(&self, min_rows: usize, min_cols: usize) -> Vec<u64> {
+        let n = self.side * self.side;
+        assert!(n < 64, "a 2^64-mask profile does not fit a u64 range");
+        let mut counts = vec![0u64; n + 1];
+        let [lo, hi] = self.chunks.as_slice() else {
+            for m in 0..1u64 << n {
+                let (rows, cols) = self.counts_u64(m);
+                if rows < min_rows || cols < min_cols {
+                    counts[m.count_ones() as usize] += 1;
                 }
             }
-            [lo, hi] => {
-                debug_assert_eq!(lo.shift, 0);
-                let mut m = start;
-                while m < end {
-                    let hi_idx = (m >> hi.shift) & hi.index_mask;
-                    let hi_entry = hi.table[hi_idx as usize];
-                    let hi_rows = hi_entry >> 8;
-                    let seg_end = end.min((hi_idx + 1) << hi.shift);
-                    while m < seg_end {
-                        let lo_entry = lo.table[(m & lo.index_mask) as usize];
-                        let fold = hi_entry & lo_entry & 0xff;
-                        if (((hi_rows + (lo_entry >> 8)) as usize) < min_rows)
-                            || ((fold.count_ones() as usize) < min_cols)
-                        {
-                            acc += weights[m.count_ones() as usize];
-                        }
-                        m += 1;
-                    }
-                }
-            }
-            _ => {
-                for m in start..end {
-                    let (rows, cols) = self.counts_u64(m);
+            return counts;
+        };
+        debug_assert_eq!(lo.shift, 0);
+        let classes = lo.entry_classes();
+        // `memo[e]`: the summed histogram of the low classes that leave the
+        // grid unavailable under high entry `e`.
+        let mut memo: std::collections::HashMap<u16, Vec<u64>> = std::collections::HashMap::new();
+        for (h, &hi_entry) in hi.table.iter().enumerate() {
+            let summed = memo.entry(hi_entry).or_insert_with(|| {
+                let mut summed = vec![0u64; hi.shift as usize + 1];
+                for (lo_entry, histogram) in &classes {
+                    let rows = ((hi_entry >> 8) + (lo_entry >> 8)) as usize;
+                    let cols = (hi_entry & lo_entry & 0xff).count_ones() as usize;
                     if rows < min_rows || cols < min_cols {
-                        acc += weights[m.count_ones() as usize];
+                        for (s, c) in summed.iter_mut().zip(histogram) {
+                            *s += c;
+                        }
                     }
                 }
+                summed
+            });
+            let shift = h.count_ones() as usize;
+            for (slot, c) in counts[shift..].iter_mut().zip(summed.iter()) {
+                *slot += c;
             }
         }
-        acc
+        counts
+    }
+}
+
+impl LineChunk {
+    /// The chunk's values grouped by table entry: each distinct entry with
+    /// its histogram over the popcount of the chunk value.
+    fn entry_classes(&self) -> Vec<(u16, Vec<u64>)> {
+        let bits = self.index_mask.count_ones() as usize;
+        // Entries are `(rows << 8) | fold` with `rows <= 8`, so a dense
+        // index of `9 << 8` slots maps every entry to its class.
+        let mut class_of = vec![usize::MAX; 9 << 8];
+        let mut classes: Vec<(u16, Vec<u64>)> = Vec::new();
+        for (value, &entry) in self.table.iter().enumerate() {
+            let slot = &mut class_of[entry as usize];
+            if *slot == usize::MAX {
+                *slot = classes.len();
+                classes.push((entry, vec![0; bits + 1]));
+            }
+            classes[*slot].1[value.count_ones() as usize] += 1;
+        }
+        classes
     }
 }
 
@@ -803,39 +818,26 @@ mod tests {
     }
 
     #[test]
-    fn unavailable_mass_range_is_bit_identical_to_scalar_chain() {
-        // The kernel must reproduce the engine's generic accumulation chain
-        // exactly (single f64 chain, ascending masks) — compare with
-        // `to_bits`, over full ranges and over split sub-ranges.
+    fn unavailable_profile_matches_direct_per_mask_counts() {
+        // Side 3 is the one-chunk layout, side 4 the two-chunk class-counting
+        // kernel. The kernel must give exactly the per-mask counts.
         for (side, min_rows, min_cols) in [(3usize, 2usize, 1usize), (4, 3, 1), (4, 2, 2)] {
             let g = SquareGrid::new(side).unwrap();
             let t = g.line_count_tables();
             let n = side * side;
-            let p = 0.125f64;
-            let q = 1.0 - p;
-            let weights: Vec<f64> = (0..=n as i32)
-                .map(|k| q.powi(k) * p.powi(n as i32 - k))
-                .collect();
-            let total = 1u64 << n;
-            let mut reference = 0.0f64;
-            for m in 0..total {
+            let mut reference = vec![0u64; n + 1];
+            for m in 0..1u64 << n {
                 let rows = g.fully_alive_row_count_u64(m);
                 let cols = g.fully_alive_column_count_u64(m);
                 if rows < min_rows || cols < min_cols {
-                    reference += weights[m.count_ones() as usize];
+                    reference[m.count_ones() as usize] += 1;
                 }
             }
-            let whole = t.unavailable_mass_range(min_rows, min_cols, &weights, 0, total);
             assert_eq!(
-                whole.to_bits(),
-                reference.to_bits(),
+                t.unavailable_profile(min_rows, min_cols),
+                reference,
                 "side={side} rows>={min_rows} cols>={min_cols}"
             );
-            // Arbitrary (unaligned) sub-ranges must also run the same chain.
-            let cut = total / 3 + 1;
-            let head = t.unavailable_mass_range(min_rows, min_cols, &weights, 0, cut);
-            let tail = t.unavailable_mass_range(min_rows, min_cols, &weights, cut, total);
-            assert!((head + tail - reference).abs() < 1e-15);
         }
     }
 

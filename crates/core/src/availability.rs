@@ -11,7 +11,8 @@
 //!   [`crate::eval::Evaluator`];
 //! * [`exact_crash_probability_naive`] — the historical scalar loop that heap-
 //!   allocates a fresh [`ServerSet`] per configuration, kept as the reference
-//!   the engine is validated (and its speedup measured) against;
+//!   the engine is validated (and its speedup measured) against; both count
+//!   an integer unavailability profile and evaluate it the same way;
 //! * [`monte_carlo_crash_probability`] — an unbiased estimator with a binomial
 //!   confidence interval, usable for any [`QuorumSystem`], including the large
 //!   structured constructions. For parallel estimation with per-thread RNG
@@ -25,7 +26,7 @@ use rand::Rng;
 
 use crate::bitset::ServerSet;
 use crate::error::QuorumError;
-use crate::eval::Evaluator;
+use crate::eval::{profile_mass, Evaluator};
 use crate::quorum::QuorumSystem;
 
 /// Largest universe size accepted by the exact enumerator (`2^25` configurations).
@@ -105,12 +106,11 @@ pub fn wilson_score_interval(mean: f64, trials: usize) -> (f64, f64) {
 /// Exact crash probability by enumerating every crash configuration.
 ///
 /// Runs on the shared evaluation engine: allocation-free mask iteration with
-/// a `u64` fast path, pinned to one thread. The parallel path splits the sum
-/// into `threads × 8` chunks above [`crate::eval::PARALLEL_MASK_THRESHOLD`],
-/// so its last bits depend on the core count; a single thread keeps the
-/// ascending-mask scalar order at every size, so the result is the same on
-/// every machine. Closed forms are deliberately *not* consulted — this
-/// function is the ground truth they are tested against; use
+/// a `u64` fast path on all available cores. The engine counts unavailable
+/// configurations by live-server count and evaluates that integer profile
+/// once, so the result is the same bits at any thread count and on every
+/// machine. Closed forms are deliberately *not* consulted — this function is
+/// the ground truth they are tested against; use
 /// [`crate::eval::Evaluator::crash_probability`] for dispatching evaluation.
 ///
 /// # Errors
@@ -121,13 +121,17 @@ pub fn exact_crash_probability<Q: QuorumSystem + ?Sized>(
     system: &Q,
     p: f64,
 ) -> Result<f64, QuorumError> {
-    Evaluator::new().with_threads(1).exact(system, p)
+    Evaluator::new().exact(system, p)
 }
 
 /// The pre-refactor scalar enumerator: single-threaded, one fresh heap
-/// [`ServerSet`] per crash configuration. Kept (not deprecated) as the
-/// bit-for-bit reference for the evaluation engine and as the baseline the
-/// `bench_fp` binary measures the engine's speedup against.
+/// [`ServerSet`] per crash configuration, tested through
+/// [`QuorumSystem::is_available`]. The unavailable configurations are
+/// tallied by live count ([`exact_unavailability_profile_naive`]) and
+/// evaluated through [`crate::eval::profile_mass`], the same polynomial the
+/// engine uses. Kept (not deprecated) as the bit-for-bit reference for the
+/// evaluation engine and as the baseline the `bench_fp` binary measures the
+/// engine's speedup against.
 ///
 /// # Errors
 ///
@@ -137,6 +141,24 @@ pub fn exact_crash_probability_naive<Q: QuorumSystem + ?Sized>(
     system: &Q,
     p: f64,
 ) -> Result<f64, QuorumError> {
+    Ok(profile_mass(
+        &exact_unavailability_profile_naive(system)?,
+        p,
+    ))
+}
+
+/// The scalar reference's unavailability profile: entry `k` is the number of
+/// crash configurations with `k` live servers that leave no quorum alive,
+/// counted one freshly allocated [`ServerSet`] at a time. The engine's
+/// [`crate::eval::Evaluator::unavailability_profile`] must equal it exactly.
+///
+/// # Errors
+///
+/// Returns [`QuorumError::UniverseTooLarge`] when the universe exceeds
+/// [`EXACT_ENUMERATION_LIMIT`] servers.
+pub fn exact_unavailability_profile_naive<Q: QuorumSystem + ?Sized>(
+    system: &Q,
+) -> Result<Vec<u64>, QuorumError> {
     let n = system.universe_size();
     if n > EXACT_ENUMERATION_LIMIT {
         return Err(QuorumError::UniverseTooLarge {
@@ -144,18 +166,14 @@ pub fn exact_crash_probability_naive<Q: QuorumSystem + ?Sized>(
             limit: EXACT_ENUMERATION_LIMIT,
         });
     }
-    let p = p.clamp(0.0, 1.0);
-    let q = 1.0 - p;
-    let mut crash_prob = 0.0;
+    let mut counts = vec![0u64; n + 1];
     for mask in 0u64..(1u64 << n) {
         let alive = ServerSet::from_indices(n, (0..n).filter(|&i| mask & (1 << i) != 0));
         if !system.is_available(&alive) {
-            let alive_count = alive.len() as i32;
-            let crashed_count = (n as i32) - alive_count;
-            crash_prob += q.powi(alive_count) * p.powi(crashed_count);
+            counts[alive.len()] += 1;
         }
     }
-    Ok(crash_prob.clamp(0.0, 1.0))
+    Ok(counts)
 }
 
 /// Monte-Carlo estimate of the crash probability.

@@ -14,6 +14,12 @@
 //!   as raw `u64` masks (the exact limit is far below 64 servers) and checked
 //!   through [`QuorumSystem::is_available_u64`] against one reusable scratch
 //!   set per worker — zero heap allocation per configuration.
+//! * **An integer unavailability profile.** Enumeration does not sum
+//!   probabilities: it counts, for every `k`, the unavailable configurations
+//!   with `k` live servers (`U_k`), and [`profile_mass`] evaluates
+//!   `F_p = Σ_k U_k (1−p)^k p^(n−k)` once at the end. Integer counts add up
+//!   the same in any order, so exact answers are bit-identical at every
+//!   thread count.
 //! * **Parallel by default.** Mask ranges are chunked across a scoped thread
 //!   pool; Monte-Carlo trials run on independent per-thread RNG streams
 //!   (deterministic for a fixed seed, regardless of thread count).
@@ -21,11 +27,6 @@
 //!   evaluate whole `(system, p)` grids on one persistent worker pool,
 //!   amortising thread-spawn cost across points and overlapping expensive
 //!   points (Monte-Carlo, the M-Path transfer-matrix DP) in wall-clock time.
-//!
-//! Small universes (`2^n` below [`PARALLEL_MASK_THRESHOLD`]) are evaluated on
-//! the calling thread in ascending mask order, which keeps the result
-//! *bit-for-bit identical* to the historical scalar loop — a property the
-//! regression tests pin down.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,9 +42,8 @@ use crate::quorum::{LaneScratch, QuorumSystem, AVAILABILITY_LANES};
 pub const DEFAULT_EXACT_LIMIT: usize = 25;
 
 /// Mask-count threshold below which exact enumeration stays on the calling
-/// thread (in ascending mask order, matching the historical scalar loop
-/// bit-for-bit). `2^17` configurations evaluate in well under a millisecond,
-/// so threads would only add overhead there.
+/// thread. `2^17` configurations evaluate in well under a millisecond, so
+/// threads would only add overhead there.
 pub const PARALLEL_MASK_THRESHOLD: u64 = 1 << 17;
 
 /// How the engine arrived at a crash-probability value.
@@ -259,56 +259,61 @@ impl Evaluator {
     pub fn crash_probability<Q: QuorumSystem + ?Sized>(&self, system: &Q, p: f64) -> FpEstimate {
         let p = p.clamp(0.0, 1.0);
         if let Some(value) = system.crash_probability_closed_form(p) {
-            return FpEstimate {
-                value,
-                std_error: None,
-                trials: None,
-                method: system.closed_form_method(),
-                interval: None,
-            };
+            return point_estimate(value, system.closed_form_method());
         }
-        match self.exact(system, p) {
-            Ok(value) => FpEstimate {
-                value,
-                std_error: None,
-                trials: None,
-                method: FpMethod::Exact,
-                interval: None,
-            },
-            Err(_) => {
-                // Past the enumeration limit, a certified enclosure (the
-                // ε-pruned DP) still beats sampling: rigorous bounds at any
-                // width the construction can certify.
-                if let Some((lower, upper)) = system.crash_probability_interval(p) {
-                    return FpEstimate {
-                        value: 0.5 * (lower + upper),
-                        std_error: None,
-                        trials: None,
-                        method: FpMethod::DpPruned,
-                        interval: Some((lower, upper)),
-                    };
-                }
-                let est = self.monte_carlo(system, p);
-                FpEstimate {
-                    value: est.mean,
-                    std_error: Some(est.std_error),
-                    trials: Some(est.trials),
-                    method: FpMethod::MonteCarlo,
-                    interval: None,
-                }
-            }
+        if let Ok(profile) = self.unavailability_profile(system) {
+            return point_estimate(profile_mass(&profile, p), FpMethod::Exact);
+        }
+        // Past the enumeration limit, a certified enclosure (the ε-pruned
+        // DP) still beats sampling: rigorous bounds at any width the
+        // construction can certify.
+        if let Some(interval) = system.crash_probability_interval(p) {
+            return certified_estimate(interval);
+        }
+        let est = self.monte_carlo(system, p);
+        FpEstimate {
+            value: est.mean,
+            std_error: Some(est.std_error),
+            trials: Some(est.trials),
+            method: FpMethod::MonteCarlo,
+            interval: None,
         }
     }
 
     /// Exact `F_p(Q)` by (parallel, allocation-free) enumeration of every
-    /// crash configuration. Never consults closed forms, which makes it the
-    /// reference the closed forms are validated against.
+    /// crash configuration: [`profile_mass`] of
+    /// [`Evaluator::unavailability_profile`]. Never consults closed forms,
+    /// which makes it the reference the closed forms are validated against.
+    ///
+    /// The result is a pure function of `(system, p)`: the enumeration only
+    /// counts configurations, so the thread count cannot change a single
+    /// bit of it.
     ///
     /// # Errors
     ///
     /// Returns [`QuorumError::UniverseTooLarge`] when `n` exceeds the
     /// configured exact limit.
     pub fn exact<Q: QuorumSystem + ?Sized>(&self, system: &Q, p: f64) -> Result<f64, QuorumError> {
+        Ok(profile_mass(&self.unavailability_profile(system)?, p))
+    }
+
+    /// The unavailability profile of `system`: entry `k` (for `k` in
+    /// `0..=n`) is the number of crash configurations with exactly `k` live
+    /// servers that leave no quorum alive. A system with a kernel
+    /// ([`QuorumSystem::unavailability_profile`]) counts it in one call;
+    /// otherwise every configuration is enumerated, in
+    /// `threads × 8` chunks above [`PARALLEL_MASK_THRESHOLD`], and the chunk
+    /// profiles are added element-wise — the same integers in any order and
+    /// at any thread count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuorumError::UniverseTooLarge`] when `n` exceeds the
+    /// configured exact limit.
+    pub fn unavailability_profile<Q: QuorumSystem + ?Sized>(
+        &self,
+        system: &Q,
+    ) -> Result<Vec<u64>, QuorumError> {
         let n = system.universe_size();
         if n > self.exact_limit {
             return Err(QuorumError::UniverseTooLarge {
@@ -316,10 +321,14 @@ impl Evaluator {
                 limit: self.exact_limit,
             });
         }
-        let p = p.clamp(0.0, 1.0);
+        // A kernel counts classes of masks rather than masks, so it is
+        // called once, not per chunk.
+        if let Some(counts) = system.unavailability_profile() {
+            return Ok(counts);
+        }
         let total: u64 = 1u64 << n;
         if self.threads <= 1 || total <= PARALLEL_MASK_THRESHOLD {
-            return Ok(enumerate_masks(system, p, 0, total).clamp(0.0, 1.0));
+            return Ok(enumerate_masks(system, 0, total));
         }
         // Oversplit relative to the worker count so an unlucky chunk (for
         // example one whose masks are mostly available and exit the quorum
@@ -327,43 +336,41 @@ impl Evaluator {
         let chunks =
             (self.threads * 8).min(usize::try_from(total / 1024).unwrap_or(usize::MAX).max(1));
         let chunk_len = total.div_ceil(chunks as u64);
-        let crash_prob: f64 = std::thread::scope(|scope| {
+        let mut counts = vec![0u64; n + 1];
+        Ok(std::thread::scope(|scope| {
             let handles: Vec<_> = (0..chunks as u64)
                 .map(|c| {
                     let start = c * chunk_len;
                     let end = total.min(start + chunk_len);
-                    scope.spawn(move || enumerate_masks(system, p, start, end))
+                    scope.spawn(move || enumerate_masks(system, start, end))
                 })
                 .collect();
-            // Joining in spawn order keeps the reduction deterministic for a
-            // fixed chunk count.
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .sum()
-        });
-        Ok(crash_prob.clamp(0.0, 1.0))
+            for handle in handles {
+                let chunk = handle.join().expect("worker panicked");
+                for (total, c) in counts.iter_mut().zip(chunk) {
+                    *total += c;
+                }
+            }
+            counts
+        }))
     }
 
     /// Evaluates `F_p(Q)` at every point of `ps` on a persistent scoped
     /// worker pool: the pool is spawned **once** for the whole sweep and the
-    /// `(system, p)` points are pulled off a shared atomic counter, so the
-    /// per-call thread-spawn cost of [`Evaluator::crash_probability`] is paid
-    /// once instead of once per point, and expensive points (Monte-Carlo,
+    /// jobs are pulled off a shared atomic counter, so the per-call
+    /// thread-spawn cost of [`Evaluator::crash_probability`] is paid once
+    /// instead of once per point, and expensive points (Monte-Carlo,
     /// M-Path's transfer-matrix DP) run concurrently across sweep points
     /// rather than sequentially.
     ///
     /// Threads are split between the two levels: with `j` jobs and `t`
-    /// configured threads, `min(j, t)` pool workers each evaluate points with
-    /// a `⌊t / workers⌋`-thread per-point policy — so a one-point sweep keeps
+    /// configured threads, `min(j, t)` pool workers each evaluate jobs with
+    /// a `⌊t / workers⌋`-thread per-job policy — so a one-system sweep keeps
     /// the full intra-point parallelism of [`Evaluator::crash_probability`],
-    /// and a wide grid runs one point per core. Results are deterministic for
-    /// a fixed evaluator configuration and job grid; when the grid has at
-    /// least `t` points every point runs single-threaded and matches
-    /// `self.with_threads(1).crash_probability(system, p)` bit-for-bit.
-    /// (Closed-form, DP and Monte-Carlo answers are bit-identical at *any*
-    /// thread count; only parallel exact enumeration's summation order
-    /// depends on it.)
+    /// and a wide grid runs one job per core. Closed-form, DP, exact and
+    /// Monte-Carlo answers match `self.crash_probability(system, p)`
+    /// bit-for-bit at any thread count; a certified-interval batch may
+    /// certify tighter enclosures than single points do.
     pub fn sweep(&self, system: &dyn QuorumSystem, ps: &[f64]) -> Vec<FpEstimate> {
         self.sweep_systems(&[system], ps).pop().unwrap_or_default()
     }
@@ -376,72 +383,28 @@ impl Evaluator {
     /// [`QuorumSystem::crash_probability_closed_form_batch`], one batch job
     /// per system, so constructions with `p`-independent scaffolding (the
     /// M-Path transfer-matrix DP) build it once per sweep instead of once
-    /// per point. Systems without a closed form fall through to the usual
-    /// per-`(system, p)` jobs (exact enumeration / Monte-Carlo), keeping
-    /// their points parallel. Batch answers are bit-identical to per-point
-    /// ones, so results are unchanged.
+    /// per point. Systems the batch declines fall through to
+    /// per-`(system, p)` jobs (enumeration / certified intervals /
+    /// Monte-Carlo), keeping their points parallel.
     pub fn sweep_systems(&self, systems: &[&dyn QuorumSystem], ps: &[f64]) -> Vec<Vec<FpEstimate>> {
         // Phase A: one closed-form batch attempt per system, on the pool.
-        let batch_results: Vec<Option<Vec<FpEstimate>>> = {
-            let slots: Vec<std::sync::OnceLock<Option<Vec<FpEstimate>>>> =
-                systems.iter().map(|_| std::sync::OnceLock::new()).collect();
-            let workers = self.threads.min(systems.len()).max(1);
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let run = |i: usize| -> Option<Vec<FpEstimate>> {
-                let sys = systems[i];
-                sys.crash_probability_closed_form_batch(ps)
-                    .map(|values| {
-                        values
-                            .into_iter()
-                            .map(|value| FpEstimate {
-                                value,
-                                std_error: None,
-                                trials: None,
-                                method: sys.closed_form_method(),
-                                interval: None,
-                            })
-                            .collect()
-                    })
-                    .or_else(|| {
-                        // No exact batch: a certified-interval batch (the
-                        // ε-pruned DP sharing one state enumeration across
-                        // the whole p-grid) still beats per-point sampling.
-                        sys.crash_probability_interval_batch(ps).map(|intervals| {
-                            intervals
-                                .into_iter()
-                                .map(|(lower, upper)| FpEstimate {
-                                    value: 0.5 * (lower + upper),
-                                    std_error: None,
-                                    trials: None,
-                                    method: FpMethod::DpPruned,
-                                    interval: Some((lower, upper)),
-                                })
-                                .collect()
-                        })
-                    })
-            };
-            if workers <= 1 {
-                systems.iter().enumerate().for_each(|(i, _)| {
-                    let _ = slots[i].set(run(i));
-                });
-            } else {
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        scope.spawn(|| loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if i >= systems.len() {
-                                break;
-                            }
-                            let _ = slots[i].set(run(i));
-                        });
-                    }
-                });
-            }
-            slots
-                .into_iter()
-                .map(|s| s.into_inner().expect("pool completed every batch job"))
-                .collect()
-        };
+        let batch_results: Vec<Option<Vec<FpEstimate>>> = self.run_pool(systems.len(), |i| {
+            let sys = systems[i];
+            sys.crash_probability_closed_form_batch(ps)
+                .map(|values| {
+                    values
+                        .into_iter()
+                        .map(|value| point_estimate(value, sys.closed_form_method()))
+                        .collect()
+                })
+                .or_else(|| {
+                    // No exact batch: a certified-interval batch (the
+                    // ε-pruned DP sharing one state enumeration across
+                    // the whole p-grid) still beats per-point sampling.
+                    sys.crash_probability_interval_batch(ps)
+                        .map(|intervals| intervals.into_iter().map(certified_estimate).collect())
+                })
+        });
 
         // Phase B: per-(system, p) jobs for the systems the batch declined.
         let jobs: Vec<(usize, f64)> = systems
@@ -450,39 +413,51 @@ impl Evaluator {
             .filter(|&(i, _)| batch_results[i].is_none())
             .flat_map(|(i, _)| ps.iter().map(move |&p| (i, p)))
             .collect();
-        let workers = self.threads.min(jobs.len()).max(1);
         // Leftover cores go to the points themselves (see [`Evaluator::sweep`]).
-        let per_point = self.clone().with_threads(self.threads / workers);
-        let slots: Vec<std::sync::OnceLock<FpEstimate>> =
-            jobs.iter().map(|_| std::sync::OnceLock::new()).collect();
-        if workers <= 1 {
-            for (slot, &(sys_idx, p)) in slots.iter().zip(&jobs) {
-                let _ = slot.set(per_point.crash_probability(systems[sys_idx], p));
-            }
-        } else {
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(&(sys_idx, p)) = jobs.get(i) else {
-                            break;
-                        };
-                        let est = per_point.crash_probability(systems[sys_idx], p);
-                        let _ = slots[i].set(est);
-                    });
-                }
-            });
-        }
+        let per_point = self
+            .clone()
+            .with_threads(self.threads / self.threads.min(jobs.len()).max(1));
+        let answers = self.run_pool(jobs.len(), |j| {
+            let (i, p) = jobs[j];
+            per_point.crash_probability(systems[i], p)
+        });
 
         let mut out: Vec<Vec<FpEstimate>> = batch_results
             .into_iter()
             .map(|b| b.unwrap_or_else(|| Vec::with_capacity(ps.len())))
             .collect();
-        for (slot, &(sys_idx, _)) in slots.iter().zip(&jobs) {
-            out[sys_idx].push(*slot.get().expect("pool completed every job"));
+        for (answer, &(i, _)) in answers.into_iter().zip(&jobs) {
+            out[i].push(answer);
         }
         out
+    }
+
+    /// Runs `job(0..count)` on a pool of `min(count, threads)` scoped
+    /// workers pulling indices off a shared counter, and returns the answers
+    /// in index order.
+    fn run_pool<T: Send + Sync>(&self, count: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let workers = self.threads.min(count).max(1);
+        if workers <= 1 {
+            return (0..count).map(job).collect();
+        }
+        let slots: Vec<std::sync::OnceLock<T>> =
+            (0..count).map(|_| std::sync::OnceLock::new()).collect();
+        let next = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if i >= count {
+                        break;
+                    }
+                    let _ = slots[i].set(job(i));
+                });
+            }
+        });
+        slots
+            .into_iter()
+            .map(|s| s.into_inner().expect("pool completed every job"))
+            .collect()
     }
 
     /// Monte-Carlo `F_p(Q)` with `self.trials()` trials fanned out over
@@ -561,54 +536,82 @@ impl Evaluator {
 /// reproducible across machines with different core counts.
 pub const MC_BLOCK_TRIALS: usize = 1024;
 
-/// Sums the probability mass of the *unavailable* alive-masks in
-/// `start..end`, allocation-free: one scratch pool for the whole range.
+/// An answer without sampling error or enclosure (closed form, DP or
+/// enumeration).
+fn point_estimate(value: f64, method: FpMethod) -> FpEstimate {
+    FpEstimate {
+        value,
+        std_error: None,
+        trials: None,
+        method,
+        interval: None,
+    }
+}
+
+/// A certified-enclosure answer; the value is the midpoint.
+fn certified_estimate((lower, upper): (f64, f64)) -> FpEstimate {
+    FpEstimate {
+        value: 0.5 * (lower + upper),
+        std_error: None,
+        trials: None,
+        method: FpMethod::DpPruned,
+        interval: Some((lower, upper)),
+    }
+}
+
+/// Crash probability from an unavailability profile: with `counts[k]` the
+/// number of unavailable configurations with `k` of `n = counts.len() - 1`
+/// servers alive,
 ///
-/// The per-mask probability depends only on the popcount, so the `n + 1`
-/// possible weights are computed once up front — with the exact expression
-/// the historical scalar loop used per mask, which keeps the summed terms
-/// unchanged.
+/// `F_p = Σ_k counts[k] · (1−p)^k p^(n−k)`,
+///
+/// summed in ascending `k`, clamped to `[0, 1]`. Every exact path
+/// ([`Evaluator::exact`], [`Evaluator::sweep`] and the scalar reference
+/// [`crate::availability::exact_crash_probability_naive`]) ends here, so
+/// equal profiles give bit-identical probabilities.
+#[must_use]
+pub fn profile_mass(counts: &[u64], p: f64) -> f64 {
+    let p = p.clamp(0.0, 1.0);
+    let q = 1.0 - p;
+    let n = counts.len() as i32 - 1;
+    let mass: f64 = counts
+        .iter()
+        .zip(0..)
+        .map(|(&count, k)| count as f64 * (q.powi(k) * p.powi(n - k)))
+        .sum();
+    mass.clamp(0.0, 1.0)
+}
+
+/// Counts the *unavailable* alive-masks in `start..end` by popcount
+/// (`n + 1` entries), allocation-free per mask: one scratch pool for the
+/// whole range — the generic loop for systems without a kernel
+/// ([`QuorumSystem::unavailability_profile`]).
 ///
 /// Masks are checked [`AVAILABILITY_LANES`] at a time through
 /// [`QuorumSystem::is_available_u64x4`] — the availability test is where the
 /// cycles go, and the batched form lets structure-aware systems answer four
-/// masks per pass (SIMD-shaped for the autovectorizer). The weight
-/// accumulation stays a single scalar chain in ascending mask order, so the
-/// sum — and hence the bit-for-bit parity with the historical scalar loop
-/// that the regression tests pin down — is untouched by the lane width.
-fn enumerate_masks<Q: QuorumSystem + ?Sized>(system: &Q, p: f64, start: u64, end: u64) -> f64 {
+/// masks per pass (SIMD-shaped for the autovectorizer).
+fn enumerate_masks<Q: QuorumSystem + ?Sized>(system: &Q, start: u64, end: u64) -> Vec<u64> {
     let n = system.universe_size();
-    let q = 1.0 - p;
-    let weight: Vec<f64> = (0..=n as i32)
-        .map(|k| q.powi(k) * p.powi(n as i32 - k))
-        .collect();
-    // Structure-aware systems can swallow the whole range in one specialised
-    // kernel (bit-identical by contract); the lane loop below is the generic
-    // fallback.
-    if let Some(mass) = system.unavailable_mass_u64_range(&weight, start, end) {
-        return mass;
-    }
+    let mut counts = vec![0u64; n + 1];
     let mut scratch = LaneScratch::new(n);
-    let mut crash_prob = 0.0;
     let lanes = AVAILABILITY_LANES as u64;
     let mut mask = start;
     while mask + lanes <= end {
         let batch: [u64; AVAILABILITY_LANES] = std::array::from_fn(|i| mask + i as u64);
         let available = system.is_available_u64x4(batch, &mut scratch);
         for (&m, &ok) in batch.iter().zip(&available) {
-            if !ok {
-                crash_prob += weight[m.count_ones() as usize];
-            }
+            counts[m.count_ones() as usize] += u64::from(!ok);
         }
         mask += lanes;
     }
     while mask < end {
         if !system.is_available_u64(mask, scratch.lane_mut(0)) {
-            crash_prob += weight[mask.count_ones() as usize];
+            counts[mask.count_ones() as usize] += 1;
         }
         mask += 1;
     }
-    crash_prob
+    counts
 }
 
 /// Runs `trials` independent crash experiments on one RNG stream, reusing a
@@ -656,8 +659,8 @@ mod tests {
 
     #[test]
     fn exact_matches_naive_reference_bit_for_bit_on_small_universes() {
-        // Below PARALLEL_MASK_THRESHOLD the engine keeps the historical
-        // ascending-mask order, so the sum is identical to the last ulp.
+        // Both count the same unavailability profile and evaluate it through
+        // `profile_mass`, so the answers are identical to the last ulp.
         let eval = Evaluator::new();
         for (n, k) in [(4usize, 3usize), (6, 4), (9, 6), (11, 7)] {
             let sys = k_of_n_system(n, k);
@@ -712,11 +715,19 @@ mod tests {
         // n = 19 exceeds the 2^17-mask threshold, forcing the chunked path.
         let sys = CheapMajority { n: 19 };
         let serial = Evaluator::new().with_threads(1);
-        let parallel = Evaluator::new().with_threads(4);
         for &p in &[0.1, 0.5] {
             let a = serial.exact(&sys, p).unwrap();
-            let b = parallel.exact(&sys, p).unwrap();
-            assert!((a - b).abs() < 1e-12, "p={p}: {a} vs {b}");
+            for threads in 2..=4 {
+                let b = Evaluator::new()
+                    .with_threads(threads)
+                    .exact(&sys, p)
+                    .unwrap();
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "p={p} threads={threads}: {a} vs {b}"
+                );
+            }
             let closed = threshold_crash_probability(19, 10, p);
             assert!((a - closed).abs() < 1e-9, "p={p}: {a} vs closed {closed}");
         }

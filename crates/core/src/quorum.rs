@@ -128,26 +128,25 @@ pub trait QuorumSystem: Send + Sync {
         out
     }
 
-    /// Structure-specialised bulk enumeration: sums `weights[popcount(m)]`
-    /// over every mask `m` in `start..end` for which the system is
-    /// *unavailable*, or `None` when the system has no specialised kernel.
+    /// Structure-specialised exact enumeration: the unavailability profile
+    /// (`n + 1` entries; entry `k` counts the crash configurations with
+    /// exactly `k` live servers that leave no quorum alive), or `None` when
+    /// the system has no specialised kernel.
     ///
-    /// This is the whole inner loop of exact `F_p` enumeration handed to the
+    /// This is the whole of exact `F_p` enumeration handed to the
     /// construction at once. The per-batch lane API
     /// ([`QuorumSystem::is_available_u64x4`]) cannot amortise anything across
-    /// batches — each call re-derives its structure walk — whereas a range
-    /// kernel hoists table builds, pointer loads and loop-invariant masks out
-    /// of the `2^n` loop entirely. On the `n = 25` Grid this is the
-    /// difference between ≈0.18 s and ≈0.07 s per sweep.
+    /// batches, whereas a kernel can build its tables once and count whole
+    /// classes of masks at once.
     ///
-    /// `weights[k]` is the probability of one specific configuration with
-    /// exactly `k` alive servers (`(1-p)^k p^(n-k)`), exactly as the engine
-    /// precomputes it. Implementations **must** accumulate into a single
-    /// `f64` chain in ascending mask order so the result is bit-identical to
-    /// the engine's generic lane loop — the engine's parity tests compare
-    /// with `f64::to_bits`.
-    fn unavailable_mass_u64_range(&self, weights: &[f64], start: u64, end: u64) -> Option<f64> {
-        let _ = (weights, start, end);
+    /// The engine calls it only for universes within its exact limit (at
+    /// most 63 servers) and turns the profile into `F_p` with
+    /// [`crate::eval::profile_mass`]. Implementations **must** return
+    /// exactly the per-mask counts the generic lane loop would give — the
+    /// engine's parity tests compare profiles for equality. The order in
+    /// which masks are visited is free: integer counts sum the same in any
+    /// order.
+    fn unavailability_profile(&self) -> Option<Vec<u64>> {
         None
     }
 

@@ -11,7 +11,9 @@
 //!   counting bound / resilience lower bound across a `p` grid;
 //! * the **batched sweep engine** — bit-for-bit parity between
 //!   `Evaluator::sweep` and one-call-at-a-time evaluation, with method tags
-//!   preserved.
+//!   preserved;
+//! * **thread invariance** of `Evaluator::exact` on the line-grid range
+//!   kernels.
 
 use byzantine_quorums::combinatorics::projective::ProjectivePlane;
 use byzantine_quorums::prelude::*;
@@ -212,5 +214,45 @@ fn sweep_is_bit_for_bit_consistent_across_methods() {
     for e in &grid[2] {
         assert!(e.ci95_upper_bound() > 0.0);
         assert!(e.ci95_upper_bound() >= e.value);
+    }
+}
+
+/// Exact enumeration through the line-grid profile kernel gives the same bits
+/// at 1, 2, 3 and 4 threads, and agrees with the closed form, on the
+/// one- and two-chunk kernel layouts of `n = 16` and `n = 25`.
+#[test]
+fn grid_kernel_exact_is_bit_identical_across_thread_counts() {
+    let systems: [Box<dyn QuorumSystem>; 4] = [
+        Box::new(GridSystem::new(4, 1).unwrap()),
+        Box::new(MGridSystem::new(4, 1).unwrap()),
+        Box::new(GridSystem::new(5, 1).unwrap()),
+        Box::new(MGridSystem::new(5, 2).unwrap()),
+    ];
+    for sys in &systems {
+        let serial = Evaluator::new().with_threads(1);
+        let profile = serial.unavailability_profile(sys.as_ref()).unwrap();
+        for &p in &[0.05, 0.125, 0.3] {
+            let a = serial.exact(sys.as_ref(), p).unwrap();
+            let closed = sys.crash_probability_closed_form(p).unwrap();
+            assert!(
+                (a - closed).abs() < 1e-9,
+                "{} p={p}: {a} vs closed {closed}",
+                sys.name()
+            );
+            for threads in 2..=4 {
+                let eval = Evaluator::new().with_threads(threads);
+                let b = eval.exact(sys.as_ref(), p).unwrap();
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{} p={p} threads={threads}",
+                    sys.name()
+                );
+            }
+        }
+        for threads in 2..=4 {
+            let eval = Evaluator::new().with_threads(threads);
+            assert_eq!(eval.unavailability_profile(sys.as_ref()).unwrap(), profile);
+        }
     }
 }

@@ -257,6 +257,29 @@ proptest! {
         );
     }
 
+    /// The engine's unavailability profile (the profile kernel for the
+    /// line-quorum grids, the lane loop for everything else) equals the
+    /// scalar reference's per-configuration tally exactly, for the same six
+    /// families as the lane-batched parity test above.
+    #[test]
+    fn engine_profile_equals_naive_profile(
+        n in 12usize..21,
+        shape in 0usize..6,
+    ) {
+        use byzantine_quorums::core::availability::exact_unavailability_profile_naive;
+        let sys: Box<dyn QuorumSystem> = match shape {
+            0 => Box::new(ThresholdSystem::new(n, n / 2 + 1).unwrap()),
+            1 => Box::new(GridSystem::new(4, 1).unwrap()),
+            2 => Box::new(MGridSystem::new(4, 1).unwrap()),
+            3 => Box::new(FppSystem::new(3).unwrap()),
+            4 => Box::new(MPathSystem::new(3, 1).unwrap()),
+            _ => Box::new(RtSystem::new(4, 3, 2).unwrap()),
+        };
+        let engine = Evaluator::new().unavailability_profile(sys.as_ref()).unwrap();
+        let naive = exact_unavailability_profile_naive(sys.as_ref()).unwrap();
+        prop_assert_eq!(engine, naive, "shape={} n={}", shape, sys.universe_size());
+    }
+
     /// On every side the unpruned M-Path sweep affords, the ε-pruned sweep's
     /// certified interval contains the exact value at random `p`, and the
     /// enclosure is no wider than 1e-12 (the sides ≤ 6 acceptance bar; sides
